@@ -288,14 +288,6 @@ def pages_batch(batch: pa.Table) -> pa.Table:
     )
 
 
-def build_pages_parquet(documents_path: str, out_path: str) -> None:
-    """Materialize the pages table from a documents.parquet (driver-side)."""
-    import pyarrow.parquet as pq
-
-    docs = pq.read_table(documents_path, columns=["doc_id", "text", "lang"])
-    pq.write_table(pages_batch(docs), out_path)
-
-
 def build_bench_pages(documents_path: str, out_path: str, factor: int = 4, with_group: bool = True) -> int:
     """Bench-scale corpus: ``factor × n_docs`` pages with doc ids
     0..N-1; soup text cycles through the documents table. Deterministic —

@@ -75,6 +75,13 @@ def _features(text: str) -> list[str]:
     return toks
 
 
+def _feature_bucket(feat: str, n_buckets: int) -> int:
+    """Hashed-feature bucket: first 8 hex chars of md5(feature) mod
+    ``n_buckets``. Quality scoring and both DSIR count passes share it, so
+    DSIR weights index the buckets the scorer looks up."""
+    return int(hashlib.md5(feat.encode()).hexdigest()[:8], 16) % n_buckets
+
+
 class HashedNgramQuality:
     """Actor-pool stage: append ``quality_logit`` (sum of hashed-bucket
     weights over unigram+bigram features, int64 for the stub weights /
@@ -106,7 +113,7 @@ class HashedNgramQuality:
     def _bucket(self, feat: str) -> int:
         b = self._memo.get(feat)
         if b is None:
-            b = int(hashlib.md5(feat.encode()).hexdigest()[:8], 16) % self.n_buckets
+            b = _feature_bucket(feat, self.n_buckets)
             if len(self._memo) >= _MEMO_MAX:
                 self._memo.clear()
             self._memo[feat] = b
@@ -382,7 +389,7 @@ class _BucketCountPartials:
         for i, f in enumerate(uniq):
             b = self._memo.get(f)
             if b is None:
-                b = int(hashlib.md5(f.encode()).hexdigest()[:8], 16) % self.n_buckets
+                b = _feature_bucket(f, self.n_buckets)
                 if len(self._memo) >= _MEMO_MAX:
                     self._memo.clear()
                 self._memo[f] = b
@@ -440,7 +447,7 @@ def driver_bucket_counts(texts, n_buckets: int = DEFAULT_N_BUCKETS) -> "np.ndarr
         for f in _features(x):
             b = memo.get(f)
             if b is None:
-                b = int(hashlib.md5(f.encode()).hexdigest()[:8], 16) % n_buckets
+                b = _feature_bucket(f, n_buckets)
                 memo[f] = b
             out[b] += 1
     return out

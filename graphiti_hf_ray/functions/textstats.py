@@ -178,32 +178,6 @@ def doc_profile_batch(batch: pa.Table) -> pa.Table:
     )
 
 
-def quality_batch(batch: pa.Table) -> pa.Table:
-    """Quality signals: stopword ratio, mean token length, repetition ratio.
-
-    quality_score = stop_ratio * 0.4 + uniq_ratio * 0.6 (deterministic toy
-    scoring; rounded to 6 dp so the SQL oracle hashes identically)."""
-    texts = _text_list(batch)
-    ids = batch.column("doc_id")
-    stop_ratio, mean_len, uniq_ratio = [], [], []
-    for t in texts:
-        toks = t.split(" ")
-        n = max(1, len(toks))
-        stop_ratio.append(round(sum(1 for w in toks if w in _STOP) / n, 6))
-        mean_len.append(round(sum(len(w) for w in toks) / n, 6))
-        uniq_ratio.append(round(len(set(toks)) / n, 6))
-    score = [round(s * 0.4 + u * 0.6, 6) for s, u in zip(stop_ratio, uniq_ratio)]
-    return pa.table(
-        {
-            "doc_id": ids,
-            "stop_ratio": pa.array(stop_ratio, pa.float64()),
-            "mean_token_len": pa.array(mean_len, pa.float64()),
-            "uniq_ratio": pa.array(uniq_ratio, pa.float64()),
-            "quality_score": pa.array(score, pa.float64()),
-        }
-    )
-
-
 # language-ID: tiny stopword-profile scorer (deterministic heuristic)
 _LANG_PROFILES = {
     "en": {"the", "and", "of", "to", "is", "in"},
@@ -236,28 +210,6 @@ class LangId:
                     best, best_n = lang, n
             preds.append(best)
         return batch.append_column("lang_pred", pa.array(preds, pa.string()))
-
-
-def rolling_fingerprint(text: str, window: int = 16, mod: int = 1 << 61) -> int:
-    """Rolling (Rabin-Karp-style) document fingerprint: min rolling hash
-    over byte windows — stable under small edits outside the min window."""
-    data = text.encode("utf-8")
-    if len(data) < window:
-        return int.from_bytes(hashlib.md5(data).digest()[:8], "little")
-    base, h, pw = 257, 0, pow(257, window - 1, mod)
-    best = None
-    for i, b in enumerate(data):
-        if i >= window:
-            h = (h - data[i - window] * pw) % mod
-        h = (h * base + b) % mod
-        if i >= window - 1:
-            best = h if best is None or h < best else best
-    return best
-
-
-def rolling_fingerprint_batch(batch: pa.Table) -> pa.Table:
-    fps = pa.array([rolling_fingerprint(t) for t in _text_list(batch)], pa.int64())
-    return pa.table({"doc_id": batch.column("doc_id"), "rolling_fp": fps})
 
 
 def winnow_fingerprints(

@@ -14,7 +14,7 @@ Layout::
     out_dir/
       episodes/shard=0007/part-*.parquet + _manifest.json
       triples/shard=0007/...
-      nodes/part-0.parquet + _manifest.json      (global stages)
+      nodes/shard=0000/part-*.parquet + _manifest.json   (global stages)
       edges/part-*.parquet + _manifest.json
 """
 
@@ -24,16 +24,13 @@ import json
 import os
 import shutil
 import tempfile
+import threading
 import time
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 MANIFEST = "_manifest.json"
-
-
-def shard_dir(out_dir: str, table: str, shard: int) -> str:
-    return os.path.join(out_dir, table, f"shard={shard:04d}")
 
 
 def manifest_matches(d: str, fingerprint: str) -> bool:
@@ -125,12 +122,20 @@ class ShardWriter:
             shutil.rmtree(self._tmp, ignore_errors=True)
 
 
+# Building a Ray parquet sink resolves its path, which tries an optional
+# fsspec import every time; when that import fails, a second thread
+# resolving at the same moment can see the half-imported module and raise
+# ImportError. Sinks are built under this lock; the writes themselves still
+# run concurrently (the KG link phase writes edges ∥ MENTIONS).
+_SINK_LOCK = threading.Lock()
+
+
 def write_table_distributed(ds, d: str, fingerprint: str, metrics: dict | None = None) -> int:
     """Distributed sink: workers stream blocks straight to part files under
     a tmp dir (no driver-side concat), then one atomic rename + manifest.
     Phase-level resumability: a complete manifest with the same fingerprint
     skips the whole write."""
-    import ray
+    from ray.data._internal.datasource.parquet_datasink import ParquetDatasink
 
     if manifest_matches(d, fingerprint):
         with open(os.path.join(d, MANIFEST)) as f:
@@ -139,7 +144,9 @@ def write_table_distributed(ds, d: str, fingerprint: str, metrics: dict | None =
     os.makedirs(parent, exist_ok=True)
     tmp = tempfile.mkdtemp(prefix=".tmp-dist-", dir=parent)
     try:
-        ds.write_parquet(tmp)
+        with _SINK_LOCK:
+            sink = ParquetDatasink(tmp)
+        ds.write_datasink(sink)
         rows = sum(pq.read_metadata(os.path.join(tmp, f)).num_rows for f in os.listdir(tmp) if f.endswith(".parquet"))
         man = {"fingerprint": fingerprint, "rows": rows, "written_at": time.time(), "complete": True, **(metrics or {})}
         with open(os.path.join(tmp, MANIFEST), "w") as f:
@@ -672,14 +679,6 @@ def read_table_dir_ds(out_dir: str, table: str, columns: list[str] | None = None
         # inside Ray 2.49's parquet datasource
         return rd.read_parquet(paths, columns=columns)
     return rd.read_parquet(paths, partitioning=None)
-
-
-def completed_shards(out_dir: str, table: str, fingerprints: dict[int, str]) -> set[int]:
-    done = set()
-    for shard, fp in fingerprints.items():
-        if manifest_matches(shard_dir(out_dir, table, shard), fp):
-            done.add(shard)
-    return done
 
 
 BRANCHES_DIR = "_branches"

@@ -24,9 +24,12 @@ callers (bench.py, tests, the driver) own the session.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
+import threading
+import time
 
 import pandas as pd
 import pyarrow as pa
@@ -38,15 +41,26 @@ import ray.data as rd
 from .. import io as gio
 from ..extract.html import extract_text_batch
 from ..extract.triples import TripleExtractor
-from ..stages.canonicalize import build_nodes_table, canonicalize
+from ..stages.canonicalize import (
+    build_nodes_table,
+    canonicalize,
+    canonicalize_distributed,
+    distinct_mentions,
+)
 from ..stages.edges import (
-    CanonicalRewrite,
     canon_map_dict,
     finalize_edges,
+    mentions_edges,
+    mentions_edges_from_triples,
     mentions_edges_per_shard,
     merge_and_invalidate,
+    rewrite_batch,
+    rewrite_via_join,
 )
+from ..stages.embed import Embedder
 from ..stages.episodes import make_episode_batch
+from ..stages.shuffle import bucketed_group_apply
+from .maintenance import build_duplicate_of_edges
 
 DEFAULT_RUN_TS_US = 1735689600_000_000  # 2025-01-01T00:00:00Z — injected, deterministic
 
@@ -54,8 +68,10 @@ DEFAULT_RUN_TS_US = 1735689600_000_000  # 2025-01-01T00:00:00Z — injected, det
 # upper bound on any (group, pred, obj) merge bucket's rows — already held
 # by the canonicalization, zero extra passes) exceeds this, the fused
 # dedup+invalidate shuffle runs the two-round salted path
-def _salt_threshold() -> int:
-    return int(os.environ.get("GRAFT_SALT_THRESHOLD", 2_000_000))
+SALT_THRESHOLD = 2_000_000
+
+# pages per extract chunk: bounds an extract task's heap (see extract_phase)
+EXTRACT_CHUNK_ROWS = 16_384
 
 
 def _pool_size() -> tuple[int, int]:
@@ -313,7 +329,8 @@ def extract_phase(
 
     from ..extract.triples import TRIPLES_SCHEMA
 
-    chunk_rows = int(os.environ.get("GRAFT_EXTRACT_CHUNK_ROWS", "16384"))
+    # read driver-side so the value ships in the shard task's closure
+    chunk_rows = EXTRACT_CHUNK_ROWS
     # minted DRIVER-side so the same pinned factory keeps its worker-memo
     # key across build_graph calls (see _worker_extractor)
     extractor_key = _factory_key(extractor_factory)
@@ -374,32 +391,114 @@ def extract_phase(
     stats.materialize()  # execute
 
 
+def _link_fingerprint(out_dir: str, run_ts_us: int) -> str:
+    """Link-phase lineage fingerprint: the run ts AND the exact set of input
+    triples shards (their manifests), so an incremental append of new shards
+    invalidates and re-derives the global tables."""
+    shard_fps = []
+    troot = os.path.join(out_dir, "triples")
+    for dirpath, _d, files in sorted(os.walk(troot)):
+        if gio.MANIFEST in files:
+            with open(os.path.join(dirpath, gio.MANIFEST)) as f:
+                shard_fps.append(json.load(f).get("fingerprint", ""))
+    return "run:" + str(run_ts_us) + ":" + hashlib.md5("|".join(sorted(shard_fps)).encode()).hexdigest()
+
+
+def _driver_canon(
+    triples: "rd.Dataset", distinct: "rd.Dataset", out_dir: str, run_ts_us: int, timings: dict, t0: float
+):
+    """Canonical map collected driver-side (vocabulary-sized) and broadcast
+    via ``ray.put``: nodes and IS_DUPLICATE_OF edges are driver tables, the
+    pointer rewrite is a lazy broadcast map."""
+    canon_map = canonicalize(triples, mentions=distinct)
+    timings["canonicalize"] = round(time.time() - t0, 2)
+    map_ref = ray.put(canon_map_dict(canon_map))
+    rewritten = triples.map_batches(
+        functools.partial(rewrite_batch, map_ref=map_ref), batch_format="pyarrow"
+    )
+    hot = int(canon_map.groupby("canon_uuid")["n"].sum().max()) if len(canon_map) else 0
+
+    # MENTIONS: zero-shuffle per-shard path — each episode's triples live
+    # entirely in one shard file (contiguous-slice sharding, one row per
+    # page + single-file atomic shard writes), so per-file dedup is globally
+    # exact; only the 6 endpoint columns are read (the fact strings, most of
+    # the triple bytes, never leave storage).
+    #
+    # The exactness invariant holds WITHIN one run (episode ⊂ one shard
+    # file) but not across runs: episode_uuid = md5('ep:'+url), and the TS8
+    # incremental-append model makes a url recurring across runs explicit.
+    # When triples/ holds shards from more than one run fingerprint the
+    # per-shard path would emit duplicate MENTIONS rows for shared urls, so
+    # the route falls back to the generic dedup-shuffle path.
+    troot = os.path.join(out_dir, "triples")
+    run_fps = {
+        d.split("shard=", 1)[1].split("-", 1)[0] for d in os.listdir(troot) if d.startswith("shard=")
+    }
+    if len(run_fps) <= 1:
+        timings["mentions_path"] = "per-shard"
+        men = mentions_edges_per_shard(troot, map_ref, run_ts_us)
+    else:
+        timings["mentions_path"] = "generic(multi-run)"
+        men = mentions_edges_from_triples(triples, map_ref, run_ts_us)
+    return (
+        build_nodes_table(canon_map, run_ts_us),
+        build_duplicate_of_edges(canon_map, run_ts_us),
+        rewritten, hot, men,
+    )
+
+
+def _distributed_canon(
+    triples: "rd.Dataset", distinct: "rd.Dataset", out_dir: str, run_ts_us: int, timings: dict, t0: float
+):
+    """Zero driver materialization: the canonical map stays a Dataset, the
+    same node and IS_DUPLICATE_OF builders run per canon_uuid bucket and
+    per batch, and the pointer rewrite is a hash join. The only driver-side
+    values are counts and manifests."""
+    canon_ds = canonicalize_distributed(triples, mentions=distinct).materialize()
+    timings["canonicalize"] = round(time.time() - t0, 2)
+    nodes = bucketed_group_apply(canon_ds, ["canon_uuid"], lambda df: build_nodes_table(df, run_ts_us))
+    dups = canon_ds.map_batches(
+        lambda t: build_duplicate_of_edges(t.to_pandas(), run_ts_us), batch_format="pyarrow"
+    )
+
+    # salting trigger: per-entity mention sums (one small bucketed shuffle —
+    # an entity's surface rows can straddle batches, so per-batch partials
+    # alone would understate the bound), then a driver max over per-bucket
+    # maxes
+    def _sum_by_entity(df: pd.DataFrame) -> pd.DataFrame:
+        g = df.groupby("canon_uuid", as_index=False)["n"].sum()
+        return pd.DataFrame({"m": [int(g["n"].max())]}) if len(g) else pd.DataFrame({"m": pd.Series([], dtype="int64")})
+
+    hot = max(
+        (r["m"] for r in bucketed_group_apply(canon_ds, ["canon_uuid"], _sum_by_entity).take_all()),
+        default=0,
+    )
+    # pinned: both the edges job and the MENTIONS job consume it
+    rewritten = rewrite_via_join(triples, canon_ds).materialize()
+    timings["mentions_path"] = "rewritten"
+    return nodes, dups, rewritten, hot, mentions_edges(rewritten, run_ts_us)
+
+
 def link_and_edges_phase(
     out_dir: str,
     run_ts_us: int = DEFAULT_RUN_TS_US,
     timings: dict | None = None,
-    distributed_canon: bool | None = None,
 ) -> dict:
     """P2+P3: global canonicalization + edge build from extracted shards.
 
-    ``distributed_canon`` (env ``GRAFT_CANON_DISTRIBUTED=1``) switches P2+P3
-    to the zero-driver-materialization path: canonical map stays a Dataset
-    (``canonicalize_distributed``), nodes/duplicate-edges build as bucketed
-    shuffles, pointer rewrite goes through the hash-join path — for corpora
-    whose distinct-mention set outgrows the driver.
-
-    Left unset, the route is AUTOMATIC: the distinct-mentions dataset is
-    materialized once (it feeds whichever path runs, so this costs no extra
-    shuffle) and a streaming ``count()`` on it picks the path — above
-    ``CANON_DRIVER_MAX_MENTIONS`` the distributed path runs without anyone
-    remembering an env var; below it the driver broadcast path stays (faster
-    in the vocabulary-sized regime)."""
-    import time as _time
-
-    from ..stages.canonicalize import CANON_DRIVER_MAX_MENTIONS, distinct_mentions
+    One skeleton whose only branch is the canonical-map strategy. The
+    distinct-mentions dataset is materialized once (it feeds whichever
+    strategy runs, so the gate costs no extra shuffle) and a streaming
+    ``count()`` on it picks the route: above ``CANON_DRIVER_MAX_MENTIONS``
+    the distributed strategy (``_distributed_canon``) keeps the map a
+    Dataset; below it the driver broadcast strategy (``_driver_canon``,
+    faster in the vocabulary-sized regime) runs. Both write the same rows
+    with the same schemas. ``timings`` names the routes taken:
+    ``canon_path`` and ``mentions_path``."""
+    from ..stages.canonicalize import CANON_DRIVER_MAX_MENTIONS
 
     timings = timings if timings is not None else {}
-    t0 = _time.time()
+    t0 = time.time()
     cpus = int(ray.cluster_resources().get("CPU", 8))
     # prune at the read: drop the hive-partition 'shard' column and sent_idx
     # so the rewrite/dedup shuffles move only needed bytes
@@ -411,254 +510,53 @@ def link_and_edges_phase(
             "pred", "obj_surface", "obj_label", "fact",
         ],
     )
-    mentions = None
-    if distributed_canon is None:
-        distributed_canon = os.environ.get("GRAFT_CANON_DISTRIBUTED") == "1"
-        if not distributed_canon:
-            # auto-gate: count the distinct-mention set BEFORE pulling it to
-            # the driver; the materialized dataset is reused by either path
-            mentions = distinct_mentions(triples).materialize()
-            n_mentions = mentions.count()
-            distributed_canon = n_mentions > CANON_DRIVER_MAX_MENTIONS
-            timings["canon_path"] = "distributed(auto)" if distributed_canon else "driver"
-    if distributed_canon:
-        return _link_and_edges_distributed(triples, out_dir, run_ts_us, timings, t0, mentions=mentions)
+    distinct = distinct_mentions(triples).materialize()
+    distributed = distinct.count() > CANON_DRIVER_MAX_MENTIONS
+    timings["canon_path"] = "distributed(auto)" if distributed else "driver"
+    fp = _link_fingerprint(out_dir, run_ts_us) + (":distcanon" if distributed else "")
+    strategy = _distributed_canon if distributed else _driver_canon
+    nodes, dups, rewritten, hot, men = strategy(triples, distinct, out_dir, run_ts_us, timings, t0)
+    t0 += timings["canonicalize"]  # edges_job runs from the end of canonicalization
 
-    # P2: canonical map (driver-side DataFrame — vocabulary-sized) + nodes
-    canon_map = canonicalize(triples, mentions=mentions)
-    timings["canonicalize"] = round(_time.time() - t0, 2)
-    t0 = _time.time()
-    nodes_tbl = build_nodes_table(canon_map, run_ts_us)
-    # link-phase lineage fingerprint covers run ts AND the exact set of
-    # input triples shards (their manifests), so an incremental append of
-    # new shards invalidates and re-derives the global tables
-    shard_fps = []
-    troot = os.path.join(out_dir, "triples")
-    for dirpath, _d, files in sorted(os.walk(troot)):
-        if gio.MANIFEST in files:
-            with open(os.path.join(dirpath, gio.MANIFEST)) as f:
-                shard_fps.append(json.load(f).get("fingerprint", ""))
-    fp = "run:" + str(run_ts_us) + ":" + hashlib.md5("|".join(sorted(shard_fps)).encode()).hexdigest()
-    gio.write_shard_atomic(nodes_tbl, os.path.join(out_dir, "nodes", "shard=0000"), fp)
-    # D2 audit trail: IS_DUPLICATE_OF alias→canonical edges
-    from .maintenance import build_duplicate_of_edges
+    # nodes + D2 audit trail (IS_DUPLICATE_OF alias→canonical edges): both
+    # routes write shard=0000, so a route flip in one out_dir replaces the
+    # other route's output instead of landing beside it
+    for table, rows in (("nodes", nodes), ("duplicate_edges", dups)):
+        d = os.path.join(out_dir, table, "shard=0000")
+        if isinstance(rows, pa.Table):
+            gio.write_shard_atomic(rows, d, fp)
+        else:
+            gio.write_table_distributed(rows, d, fp)
 
-    dup_tbl = build_duplicate_of_edges(canon_map, run_ts_us)
-    gio.write_shard_atomic(dup_tbl, os.path.join(out_dir, "duplicate_edges", "shard=0000"), fp)
-
-    # P3: rewrite (broadcast join), dedup merge, invalidation, embeddings
-    map_ref = ray.put(canon_map_dict(canon_map))
-    # edges job: read → rewrite (actor pool, broadcast map) → ONE fused
-    # shuffle for dedup-merge + temporal invalidation (bucket key
-    # (group, pred, obj) co-locates both groupings) → finalize → embed →
-    # distributed write — a single lazy streaming execution, no pinning
-    import functools
-
-    from ..stages.edges import rewrite_batch
-
-    rewritten = triples.map_batches(
-        functools.partial(rewrite_batch, map_ref=map_ref), batch_format="pyarrow"
+    # edges job: rewritten → ONE fused shuffle for dedup-merge + temporal
+    # invalidation (bucket key (group, pred, obj) co-locates both
+    # groupings) → finalize → embed (stateless tasks: the trigram cache is
+    # module-global per worker process) → distributed write
+    swept = merge_and_invalidate(rewritten, force_salted=hot > SALT_THRESHOLD)
+    final = finalize_edges(swept, run_ts_us).map_batches(
+        Embedder("fact", "fact_embedding"), batch_format="pyarrow"
     )
-    hot = int(canon_map.groupby("canon_uuid")["n"].sum().max()) if len(canon_map) else 0
-    swept = merge_and_invalidate(rewritten, force_salted=hot > _salt_threshold())
-    final = finalize_edges(swept, run_ts_us)
-    # embed as stateless tasks: the trigram cache is module-global per
-    # worker process, so task form loses nothing vs an actor pool here
-    from ..stages.embed import Embedder as _E
 
-    _embed = _E("fact", "fact_embedding")
-    final = final.map_batches(_embed, batch_format="pyarrow")
-
-    # mentions job: zero-shuffle per-shard path — each episode's triples
-    # live entirely in one shard file (contiguous-slice sharding, one row
-    # per page + single-file atomic shard writes), so per-file dedup is
-    # globally exact and the full-stream dedup shuffle of the generic path
-    # is unnecessary; only the 6 endpoint columns are read (the fact
-    # strings, most of the triple bytes, never leave storage).
-    #
-    # The exactness invariant holds WITHIN one run (episode ⊂ one shard
-    # file) but not across runs: episode_uuid = md5('ep:'+url), and the
-    # TS8 incremental-append model makes a url recurring across runs
-    # explicit (re-ingesting an updated corpus that shares pages). When
-    # triples/ holds shards from more than one run fingerprint, the
-    # per-shard path would emit duplicate MENTIONS rows for shared urls,
-    # so the route AUTOMATICALLY falls back to the generic dedup-shuffle
-    # path; GRAFT_MENTIONS_PER_SHARD=1 forces the fast path when the
-    # operator knows the appended runs share no urls.
-    #
-    run_fps = {
-        d.split("shard=", 1)[1].split("-", 1)[0]
-        for d in os.listdir(os.path.join(out_dir, "triples"))
-        if d.startswith("shard=")
-    }
-    per_shard_ok = len(run_fps) <= 1 or os.environ.get("GRAFT_MENTIONS_PER_SHARD") == "1"
-    if not per_shard_ok:
-        timings["mentions_path"] = "generic(multi-run)"
-    #
-    # The edges and MENTIONS jobs share no lineage beyond the (already
-    # ray.put) canonical map, so they run CONCURRENTLY — each Dataset
-    # drives its own streaming executor and Ray schedules both task pools
-    # over the cluster; serializing them left whichever job ran second
-    # idle-waiting on the driver for no reason.
-    import threading
-
+    # The edges and MENTIONS jobs share no lineage beyond the broadcast map
+    # or the pinned `rewritten` blocks, so they run CONCURRENTLY — each
+    # Dataset drives its own streaming executor and Ray schedules both task
+    # pools over the cluster; serializing them left whichever job ran
+    # second idle-waiting on the driver for no reason.
     mention_err: list[BaseException] = []
-    t_men = _time.time()
     men_wall: list[float] = []
+    t_men = time.time()
 
     def _run_mentions() -> None:
         try:
-            if per_shard_ok:
-                mentions = mentions_edges_per_shard(os.path.join(out_dir, "triples"), map_ref, run_ts_us)
-            else:
-                from ..stages.edges import mentions_edges_from_triples
-
-                mentions = mentions_edges_from_triples(triples, map_ref, run_ts_us)
-            gio.write_table_distributed(mentions, os.path.join(out_dir, "episodic_edges"), fp)
-            men_wall.append(_time.time() - t_men)
-        except BaseException as e:  # noqa: BLE001 — re-raised on the driver below
-            mention_err.append(e)
-
-    men_thread = threading.Thread(target=_run_mentions, name="mentions-job", daemon=True)
-    men_thread.start()
-    n_edges = gio.write_table_distributed(final, os.path.join(out_dir, "edges"), fp)
-    timings["edges_job"] = round(_time.time() - t0, 2)
-    men_thread.join()
-    if mention_err:
-        raise mention_err[0]
-    timings["mentions"] = round(men_wall[0], 2) if men_wall else 0.0
-
-    metrics = gio.job_metrics(out_dir)
-    metrics["timings"] = dict(timings)
-    with open(os.path.join(out_dir, "_job_metrics.json"), "w") as f:
-        json.dump(metrics, f, indent=2)
-    return metrics
-
-
-def _link_fingerprint(out_dir: str, run_ts_us: int) -> str:
-    shard_fps = []
-    troot = os.path.join(out_dir, "triples")
-    for dirpath, _d, files in sorted(os.walk(troot)):
-        if gio.MANIFEST in files:
-            with open(os.path.join(dirpath, gio.MANIFEST)) as f:
-                shard_fps.append(json.load(f).get("fingerprint", ""))
-    return "run:" + str(run_ts_us) + ":" + hashlib.md5("|".join(sorted(shard_fps)).encode()).hexdigest()
-
-
-def _link_and_edges_distributed(
-    triples: "rd.Dataset", out_dir: str, run_ts_us: int, timings: dict, t0: float,
-    mentions: "rd.Dataset | None" = None,
-) -> dict:
-    """Zero-driver-materialization P2+P3: every artifact builds as a
-    bucketed shuffle over the canonical-map DATASET; the only driver-side
-    values are counts and manifests."""
-    import time as _time
-
-    from ..ids import entity_uuid, md5_id
-    from ..schemas import EMBED_DIM  # noqa: F401 (embeddings stay list<float> here)
-    from ..stages.canonicalize import canonicalize_distributed
-    from ..stages.edges import mentions_edges, rewrite_via_join
-    from ..stages.embed import embed_many
-    from ..stages.shuffle import bucketed_group_apply
-
-    fp = _link_fingerprint(out_dir, run_ts_us) + ":distcanon"
-    canon_ds = canonicalize_distributed(triples, mentions=mentions).materialize()
-    timings["canonicalize"] = round(_time.time() - t0, 2)
-    t0 = _time.time()
-
-    # nodes: one row per canonical entity (bucketed by canon_uuid)
-    def node_rows(df: pd.DataFrame) -> pd.DataFrame:
-        agg = df.groupby(["group_id", "label", "canon_name", "canon_uuid"], as_index=False)["n"].sum()
-        agg = agg.sort_values("canon_uuid")
-        embs = embed_many(agg["canon_name"].tolist())
-        return pd.DataFrame(
-            {
-                "uuid": agg["canon_uuid"].values,
-                "name": agg["canon_name"].values,
-                "group_id": agg["group_id"].values,
-                "labels": [[l] for l in agg["label"]],
-                "created_at": pd.Timestamp(run_ts_us, unit="us"),
-                "name_embedding": [list(map(float, e)) for e in embs],
-                "summary": [f"{l} entity: {c}" for l, c in zip(agg["label"], agg["canon_name"])],
-                "attributes": "{}",
-            }
-        )
-
-    nodes_ds = bucketed_group_apply(canon_ds, ["canon_uuid"], node_rows)
-    gio.write_table_distributed(nodes_ds, os.path.join(out_dir, "nodes"), fp)
-
-    # IS_DUPLICATE_OF audit edges: stateless map over the alias rows
-    def dup_rows(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        alias = df[df["surface"] != df["canon_name"]]
-        src = [
-            entity_uuid(g, l, s)
-            for g, l, s in zip(alias["group_id"], alias["label"], alias["surface"])
-        ]
-        return pa.table(
-            {
-                "uuid": pa.array([md5_id(f"dup:{a}:{b}") for a, b in zip(src, alias["canon_uuid"])]),
-                "source_uuid": pa.array(src, pa.string()),
-                "source_name": pa.array(alias["surface"].tolist(), pa.string()),
-                "target_uuid": pa.array(alias["canon_uuid"].tolist(), pa.string()),
-                "target_name": pa.array(alias["canon_name"].tolist(), pa.string()),
-                "name": pa.array(["IS_DUPLICATE_OF"] * len(alias), pa.string()),
-                "group_id": pa.array(alias["group_id"].tolist(), pa.string()),
-                "created_at": pa.array([run_ts_us] * len(alias), pa.timestamp("us")),
-            }
-        )
-
-    gio.write_table_distributed(
-        canon_ds.map_batches(dup_rows, batch_format="pyarrow"),
-        os.path.join(out_dir, "duplicate_edges"), fp,
-    )
-
-    # rewrite via the hash-join path (no broadcast dict), then the same
-    # fused dedup+invalidate shuffle; rewritten is pinned because both the
-    # edges job and the MENTIONS job consume it (spill-backed)
-    # salting trigger from the (materialized, vocabulary-sized) canonical
-    # map: per-entity mention sums (one small bucketed shuffle — an entity's
-    # surface rows can straddle batches, so per-batch partials alone would
-    # understate the bound), then a driver max over per-bucket maxes
-    def _sum_by_entity(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("canon_uuid", as_index=False)["n"].sum()
-        return pd.DataFrame({"m": [int(g["n"].max())]}) if len(g) else pd.DataFrame({"m": pd.Series([], dtype="int64")})
-
-    hot = max(
-        (
-            r["m"]
-            for r in bucketed_group_apply(canon_ds, ["canon_uuid"], _sum_by_entity).take_all()
-        ),
-        default=0,
-    )
-
-    rewritten = rewrite_via_join(triples, canon_ds).materialize()
-    swept = merge_and_invalidate(rewritten, force_salted=hot > _salt_threshold())
-    final = finalize_edges(swept, run_ts_us)
-    from ..stages.embed import Embedder as _E
-
-    final = final.map_batches(_E("fact", "fact_embedding"), batch_format="pyarrow")
-
-    # same edges ∥ MENTIONS overlap as the default path: both jobs read the
-    # pinned `rewritten` blocks (materialized — safe for two consumers)
-    import threading
-
-    mention_err: list[BaseException] = []
-    t_men = _time.time()
-    men_wall: list[float] = []
-
-    def _run_mentions() -> None:
-        try:
-            mentions = mentions_edges(rewritten, run_ts_us)
-            gio.write_table_distributed(mentions, os.path.join(out_dir, "episodic_edges"), fp)
-            men_wall.append(_time.time() - t_men)
+            gio.write_table_distributed(men, os.path.join(out_dir, "episodic_edges"), fp)
+            men_wall.append(time.time() - t_men)
         except BaseException as e:  # noqa: BLE001 — re-raised on the driver below
             mention_err.append(e)
 
     men_thread = threading.Thread(target=_run_mentions, name="mentions-job", daemon=True)
     men_thread.start()
     gio.write_table_distributed(final, os.path.join(out_dir, "edges"), fp)
-    timings["edges_job"] = round(_time.time() - t0, 2)
+    timings["edges_job"] = round(time.time() - t0, 2)
     men_thread.join()
     if mention_err:
         raise mention_err[0]
@@ -684,14 +582,12 @@ def build_graph(
     """Full pipeline: pages parquet → nodes/edges/episodes/episodic_edges.
     ``extractor_factory`` / ``extractor_resources`` plug a model-backed
     (e.g. GPU) extractor into the extract phase — see ``extract_phase``."""
-    import time as _time
-
     timings: dict = {}
-    t0 = _time.time()
+    t0 = time.time()
     extract_phase(
         pages_paths, out_dir, run_ts_us, num_shards,
         store_content=store_content, input_etags=input_etags,
         extractor_resources=extractor_resources, extractor_factory=extractor_factory,
     )
-    timings["extract"] = round(_time.time() - t0, 2)
+    timings["extract"] = round(time.time() - t0, 2)
     return link_and_edges_phase(out_dir, run_ts_us, timings)

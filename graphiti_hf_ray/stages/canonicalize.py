@@ -48,19 +48,15 @@ logger = logging.getLogger(__name__)
 SEP = "\x1f"
 MAX_BLOCK_NAMES = 512  # per-block candidate cap (log drops; SURVEY.md §7.4)
 NODE_COS_THRESHOLD = 0.8  # bulk_utils.py:258
-# Path-switch thresholds, env-overridable so CI can force the distributed
-# paths (GRAFT_DRIVER_CC_MAX_PAIRS=0 / GRAFT_DRIVER_PAIRS_MAX_MENTIONS=0).
-import os as _os
-
-DRIVER_CC_MAX_PAIRS = int(_os.environ.get("GRAFT_DRIVER_CC_MAX_PAIRS", 5_000_000))
-DRIVER_PAIRS_MAX_MENTIONS = int(_os.environ.get("GRAFT_DRIVER_PAIRS_MAX_MENTIONS", 200_000))
+# Path-switch thresholds (tests monkeypatch them to force the scale paths).
+DRIVER_CC_MAX_PAIRS = 5_000_000
+DRIVER_PAIRS_MAX_MENTIONS = 200_000
 # Above this distinct-mention count the PIPELINE auto-routes to
 # canonicalize_distributed (zero driver materialization) — the default path
 # below collects the vocabulary-sized mention set driver-side, which at an
 # open web vocabulary would OOM the driver without this gate (pipelines/kg.py
-# counts the mentions dataset and switches; GRAFT_CANON_DISTRIBUTED=1 still
-# forces the distributed path unconditionally).
-CANON_DRIVER_MAX_MENTIONS = int(_os.environ.get("GRAFT_CANON_DRIVER_MAX_MENTIONS", 5_000_000))
+# counts the mentions dataset and switches).
+CANON_DRIVER_MAX_MENTIONS = 5_000_000
 
 
 def mention_key(group_id: str, label: str, surface: str) -> str:

@@ -25,6 +25,7 @@ reproducible under any partitioning (SURVEY.md §7.4).
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -492,25 +493,8 @@ class MentionsFromTriples:
         self._uuids = {k: v[1] for k, v in m.items()}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        sep = pa.scalar(SEP)
-        g = batch.column("group_id")
-        skey = pc.binary_join_element_wise(g, batch.column("subj_label"), batch.column("subj_surface"), sep)
-        okey = pc.binary_join_element_wise(g, batch.column("obj_label"), batch.column("obj_surface"), sep)
-        uuids = self._uuids
-        ep = batch.column("episode_uuid").to_pandas()
-        gid = g.to_pandas()
-        sk = pd.Series(skey.to_pandas()).map(uuids)
-        ok = pd.Series(okey.to_pandas()).map(uuids)
-        df = pd.DataFrame(
-            {
-                "episode_uuid": pd.concat([ep, ep], ignore_index=True),
-                "group_id": pd.concat([gid, gid], ignore_index=True),
-                "entity_uuid": pd.concat([sk, ok], ignore_index=True),
-            }
-        ).dropna(subset=["entity_uuid"]).drop_duplicates(["episode_uuid", "entity_uuid"])
-        return pa.Table.from_pandas(df, preserve_index=False)
+        pairs = _endpoint_pairs(batch, self._uuids).drop_duplicates(["episode_uuid", "entity_uuid"])
+        return pa.Table.from_pandas(pairs, preserve_index=False)
 
 
 MENTIONS_SCHEMA = pa.schema(
@@ -524,13 +508,9 @@ MENTIONS_SCHEMA = pa.schema(
 )
 
 
-def _mentions_rows_exact(t: pa.Table, uuids: dict, run_ts_us: int) -> pa.Table:
-    """Final MENTIONS rows for one complete shard's triples table: map both
-    endpoint keys to canonical uuids, dedup (episode, entity) pairs, mint
-    the deterministic edge uuid. Exact iff ``t`` holds ALL triples of every
-    episode it contains (see mentions_edges_per_shard)."""
-    if t.num_rows == 0:
-        return MENTIONS_SCHEMA.empty_table()
+def _endpoint_pairs(t: pa.Table, uuids: dict) -> pd.DataFrame:
+    """Triples batch → (episode_uuid, group_id, entity_uuid) rows, both
+    endpoint keys mapped to canonical uuids (unmapped keys dropped)."""
     sep = pa.scalar(SEP)
     g = t.column("group_id")
     skey = pc.binary_join_element_wise(g, t.column("subj_label"), t.column("subj_surface"), sep)
@@ -539,17 +519,20 @@ def _mentions_rows_exact(t: pa.Table, uuids: dict, run_ts_us: int) -> pa.Table:
     gid = g.to_pandas()
     sk = pd.Series(skey.to_pandas()).map(uuids)
     ok = pd.Series(okey.to_pandas()).map(uuids)
-    df = (
-        pd.DataFrame(
-            {
-                "episode_uuid": pd.concat([ep, ep], ignore_index=True),
-                "group_id": pd.concat([gid, gid], ignore_index=True),
-                "entity_uuid": pd.concat([sk, ok], ignore_index=True),
-            }
-        )
-        .dropna(subset=["entity_uuid"])
-        .drop_duplicates(["episode_uuid", "entity_uuid"])
-    )
+    return pd.DataFrame(
+        {
+            "episode_uuid": pd.concat([ep, ep], ignore_index=True),
+            "group_id": pd.concat([gid, gid], ignore_index=True),
+            "entity_uuid": pd.concat([sk, ok], ignore_index=True),
+        }
+    ).dropna(subset=["entity_uuid"])
+
+
+def _mentions_rows(pairs: pd.DataFrame, run_ts_us: int) -> pa.Table:
+    """(episode_uuid, group_id, entity_uuid) pairs → MENTIONS rows, one per
+    distinct (episode, entity), each with its deterministic edge uuid. The
+    one row builder every MENTIONS route emits through."""
+    df = pairs.drop_duplicates(["episode_uuid", "entity_uuid"])
     n = len(df)
     return pa.table(
         {
@@ -563,6 +546,15 @@ def _mentions_rows_exact(t: pa.Table, uuids: dict, run_ts_us: int) -> pa.Table:
             "created_at": pa.array(np.full(n, run_ts_us, np.int64), pa.timestamp("us")),
         }
     )
+
+
+def _mentions_rows_exact(t: pa.Table, uuids: dict, run_ts_us: int) -> pa.Table:
+    """Final MENTIONS rows for one complete shard's triples table. Exact iff
+    ``t`` holds ALL triples of every episode it contains (see
+    mentions_edges_per_shard)."""
+    if t.num_rows == 0:
+        return MENTIONS_SCHEMA.empty_table()
+    return _mentions_rows(_endpoint_pairs(t, uuids), run_ts_us)
 
 
 def mentions_edges_per_shard(triples_root: str, map_ref, run_ts_us: int) -> "ray.data.Dataset":
@@ -585,10 +577,9 @@ def mentions_edges_per_shard(triples_root: str, map_ref, run_ts_us: int) -> "ray
     when every url appears in at most one input row of ONE run — a url
     recurring in a second appended run (or twice in one input) lands in a
     different shard file and per-file dedup misses the pair. The caller
-    (pipelines/kg.py link phase) enforces this automatically: triples/
+    (pipelines/kg.py link phase) enforces the single-run half: triples/
     holding shards from more than one run fingerprint routes to
-    mentions_edges_from_triples (override: GRAFT_MENTIONS_PER_SHARD=1
-    when appended runs are known to share no urls).
+    mentions_edges_from_triples.
 
     Scale shape: embarrassingly parallel over shard files (parallelism =
     shard count), reads only the 6 endpoint columns, emits final rows
@@ -630,42 +621,18 @@ def mentions_edges_from_triples(triples: "ray.data.Dataset", map_ref, run_ts_us:
     dedup shuffle; shard-aligned outputs use mentions_edges_per_shard."""
     from .shuffle import bucketed_group_apply
 
-    import functools
-
     partial = triples.map_batches(
         functools.partial(mentions_batch, map_ref=map_ref), batch_format="pyarrow"
     )
-
-    def emit(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop_duplicates(["episode_uuid", "entity_uuid"]).reset_index(drop=True)
-        return pd.DataFrame(
-            {
-                "uuid": [md5_id(f"men:{e}:{n}") for e, n in zip(df["episode_uuid"], df["entity_uuid"])],
-                "group_id": df["group_id"],
-                "source_node_uuid": df["episode_uuid"],
-                "target_node_uuid": df["entity_uuid"],
-                "created_at": pd.Timestamp(run_ts_us, unit="us"),
-            }
-        )
-
+    emit = functools.partial(_mentions_rows, run_ts_us=run_ts_us)
     return bucketed_group_apply(partial, ["episode_uuid", "entity_uuid"], emit)
 
 
 def mentions_edges(rewritten: "ray.data.Dataset", run_ts_us: int) -> "ray.data.Dataset":
+    """MENTIONS episodic edges from already-rewritten triples (the
+    distributed link route, whose canonical map is never broadcast)."""
     from .shuffle import bucketed_group_apply
 
     partial = rewritten.map_batches(mentions_partial, batch_format="pyarrow")
-
-    def emit(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop_duplicates(["episode_uuid", "entity_uuid"]).reset_index(drop=True)
-        return pd.DataFrame(
-            {
-                "uuid": [md5_id(f"men:{e}:{n}") for e, n in zip(df["episode_uuid"], df["entity_uuid"])],
-                "group_id": df["group_id"],
-                "source_node_uuid": df["episode_uuid"],
-                "target_node_uuid": df["entity_uuid"],
-                "created_at": pd.Timestamp(run_ts_us, unit="us"),
-            }
-        )
-
+    emit = functools.partial(_mentions_rows, run_ts_us=run_ts_us)
     return bucketed_group_apply(partial, ["episode_uuid", "entity_uuid"], emit)

@@ -405,34 +405,6 @@ def test_salted_aggregate_hot_key(ray_session):
     pd.testing.assert_frame_equal(a[["k", "s", "c"]], b[["k", "s", "c"]], check_dtype=False)
 
 
-def test_distributed_canon_build_matches_default(ray_session, pages_parquet, graph_out, tmp_path_factory):
-    """The zero-driver-materialization link path (GRAFT_CANON_DISTRIBUTED
-    analog) produces the same graph: same node/edge/mention uuid sets and
-    the same edge business columns."""
-    from graphiti_hf_ray.pipelines.kg import extract_phase, link_and_edges_phase
-
-    out = str(tmp_path_factory.mktemp("graph_dist"))
-    extract_phase([pages_parquet], out, num_shards=4)
-    link_and_edges_phase(out, distributed_canon=True)
-
-    for table in ("nodes", "edges", "episodic_edges", "duplicate_edges"):
-        a = gio.read_table_dir(graph_out, table).to_pandas()
-        b = gio.read_table_dir(out, table).to_pandas()
-        assert sorted(a["uuid"]) == sorted(b["uuid"]), table
-    cols = ["uuid", "source_uuid", "target_uuid", "name", "fact", "group_id",
-            "valid_at", "invalid_at", "episodes", "created_by", "n_occurrences"]
-    a = gio.read_table_dir(graph_out, "edges").to_pandas()[cols].sort_values("uuid").reset_index(drop=True)
-    b = gio.read_table_dir(out, "edges").to_pandas()[cols].sort_values("uuid").reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b, check_dtype=False)
-    n = gio.read_table_dir(graph_out, "nodes").to_pandas()
-    m = gio.read_table_dir(out, "nodes").to_pandas()
-    pd.testing.assert_frame_equal(
-        n[["uuid", "name", "group_id", "summary"]].sort_values("uuid").reset_index(drop=True),
-        m[["uuid", "name", "group_id", "summary"]].sort_values("uuid").reset_index(drop=True),
-        check_dtype=False,
-    )
-
-
 def test_salted_merge_parity_forced_skew(ray_session):
     """Two-round salted dedup+invalidate is row-identical to the one-shuffle
     path on a forced-skew input: ONE object carries ~30% of all triples
@@ -475,15 +447,14 @@ def test_salted_merge_parity_forced_skew(ray_session):
     assert len(b) == len(a) > 0
 
 
-def test_salting_trigger_end_to_end(ray_session, pages_parquet, graph_out, tmp_path_factory):
-    """GRAFT_SALT_THRESHOLD=0 forces every build through the salted path;
-    the resulting graph is byte-identical to the default build."""
+def test_salting_trigger_end_to_end(ray_session, pages_parquet, graph_out, tmp_path_factory, monkeypatch):
+    """SALT_THRESHOLD=0 forces every build through the salted path; the
+    resulting graph is byte-identical to the default build."""
+    from graphiti_hf_ray.pipelines import kg
+
     out2 = str(tmp_path_factory.mktemp("salted"))
-    os.environ["GRAFT_SALT_THRESHOLD"] = "0"
-    try:
-        build_graph([pages_parquet], out2, num_shards=4)
-    finally:
-        del os.environ["GRAFT_SALT_THRESHOLD"]
+    monkeypatch.setattr(kg, "SALT_THRESHOLD", 0)
+    build_graph([pages_parquet], out2, num_shards=4)
     for table in ("nodes", "edges"):
         a = gio.read_table_dir(graph_out, table).to_pandas().sort_values("uuid").reset_index(drop=True)
         b = gio.read_table_dir(out2, table).to_pandas().sort_values("uuid").reset_index(drop=True)
@@ -510,11 +481,25 @@ def test_fingerprint_modes_identical(ray_session, pages_parquet, tmp_path_factor
     assert fp_parallel == fp_etag == h.hexdigest()
 
 
+LINK_TABLES = ("nodes", "edges", "episodic_edges", "duplicate_edges")
+
+
+def _assert_link_tables_equal(expected_dir: str, got_dir: str) -> None:
+    """Same schema and the same rows (order-free) in all four link tables."""
+    for table in LINK_TABLES:
+        a = gio.read_table_dir(expected_dir, table)
+        b = gio.read_table_dir(got_dir, table)
+        assert a.schema.equals(b.schema), (table, a.schema, b.schema)
+        assert a.num_rows == b.num_rows > 0, table
+        assert a.sort_by("uuid").equals(b.sort_by("uuid")), table
+
+
 def test_canon_auto_gate_routes_distributed(ray_session, pages_parquet, graph_out, tmp_path_factory, monkeypatch):
-    """r3 VERDICT #1: with no env var and no kwarg, the pipeline counts the
-    distinct-mention set and auto-routes to the distributed canonicalization
-    above CANON_DRIVER_MAX_MENTIONS — forced tiny threshold fires the
-    switch; the resulting graph is identical to the default driver path."""
+    """The pipeline counts the distinct-mention set and auto-routes to the
+    distributed canonicalization above CANON_DRIVER_MAX_MENTIONS — a
+    forced tiny threshold fires the switch; the distributed route writes
+    the same schemas and rows as the default driver build (the driver
+    route below the gate: test_link_route_flip_matches_fresh_build)."""
     import graphiti_hf_ray.stages.canonicalize as C
     from graphiti_hf_ray.pipelines.kg import extract_phase, link_and_edges_phase
 
@@ -522,31 +507,42 @@ def test_canon_auto_gate_routes_distributed(ray_session, pages_parquet, graph_ou
     out = str(tmp_path_factory.mktemp("graph_autogate"))
     extract_phase([pages_parquet], out, num_shards=4)
     timings: dict = {}
-    link_and_edges_phase(out, timings=timings)  # no kwarg, no env var
+    link_and_edges_phase(out, timings=timings)
     assert timings["canon_path"] == "distributed(auto)"
+    assert timings["mentions_path"] == "rewritten"
+    _assert_link_tables_equal(graph_out, out)
 
-    for table in ("nodes", "edges", "episodic_edges", "duplicate_edges"):
-        a = gio.read_table_dir(graph_out, table).to_pandas()
-        b = gio.read_table_dir(out, table).to_pandas()
-        assert sorted(a["uuid"]) == sorted(b["uuid"]), table
 
-    # below the gate the driver path runs and says so
-    monkeypatch.setattr(C, "CANON_DRIVER_MAX_MENTIONS", 10_000_000)
-    out2 = str(tmp_path_factory.mktemp("graph_autogate2"))
-    extract_phase([pages_parquet], out2, num_shards=4)
-    timings2: dict = {}
-    link_and_edges_phase(out2, timings=timings2)
-    assert timings2["canon_path"] == "driver"
-    a = gio.read_table_dir(graph_out, "edges").to_pandas()
-    b = gio.read_table_dir(out2, "edges").to_pandas()
-    assert sorted(a["uuid"]) == sorted(b["uuid"])
+def test_link_route_flip_matches_fresh_build(ray_session, pages_parquet, graph_out, tmp_path_factory, monkeypatch):
+    """Below the gate the driver route runs and says so; re-linking the same
+    out_dir under the other canonical-map route (driver → distributed →
+    driver) replaces the earlier route's tables: every link table and the
+    job metrics equal a fresh build's."""
+    import graphiti_hf_ray.stages.canonicalize as C
+    from graphiti_hf_ray.pipelines.kg import extract_phase, link_and_edges_phase
+
+    out = str(tmp_path_factory.mktemp("graph_flip"))
+    extract_phase([pages_parquet], out, num_shards=4)
+    with open(os.path.join(graph_out, "_job_metrics.json")) as f:
+        fresh_tables = json.load(f)["tables"]
+    driver = (10_000_000, "driver", "per-shard")
+    for gate, canon_path, mentions_path in (driver, (0, "distributed(auto)", "rewritten"), driver):
+        monkeypatch.setattr(C, "CANON_DRIVER_MAX_MENTIONS", gate)
+        metrics = link_and_edges_phase(out)
+        assert metrics["timings"]["canon_path"] == canon_path
+        assert metrics["timings"]["mentions_path"] == mentions_path
+        _assert_link_tables_equal(graph_out, out)
+        for table in LINK_TABLES:
+            assert metrics["tables"][table]["rows"] == fresh_tables[table]["rows"], (canon_path, table)
 
 
 def test_mentions_per_shard_parity_with_generic(ray_session, graph_out):
     """The zero-shuffle per-shard MENTIONS path returns row-identical
     output to the generic full-stream-dedup path (its documented
     partitioning assumption — episode ⊂ shard file — holds for every
-    extract_phase output)."""
+    extract_phase output), and so does the rewritten-triples path the
+    distributed link route takes."""
+    import functools
     import os
 
     import ray
@@ -555,8 +551,10 @@ def test_mentions_per_shard_parity_with_generic(ray_session, graph_out):
     from graphiti_hf_ray.stages.canonicalize import canonicalize
     from graphiti_hf_ray.stages.edges import (
         canon_map_dict,
+        mentions_edges,
         mentions_edges_from_triples,
         mentions_edges_per_shard,
+        rewrite_batch,
     )
 
     cols = ["episode_uuid", "group_id", "subj_surface", "subj_label", "obj_surface", "obj_label"]
@@ -582,8 +580,20 @@ def test_mentions_per_shard_parity_with_generic(ray_session, graph_out):
         .sort_values("uuid")
         .reset_index(drop=True)
     )
+    c = (
+        mentions_edges(
+            rd.read_parquet(troot, columns=cols).map_batches(
+                functools.partial(rewrite_batch, map_ref=map_ref), batch_format="pyarrow"
+            ),
+            run_ts_us,
+        )
+        .to_pandas()
+        .sort_values("uuid")
+        .reset_index(drop=True)
+    )
     assert len(a) > 0
     pd.testing.assert_frame_equal(a, b[a.columns])
+    pd.testing.assert_frame_equal(a, c[a.columns])
 
 
 def test_prepare_training_set_end_to_end(ray_session, tmp_path):
