@@ -51,7 +51,6 @@ from ..stages.edges import (
     canon_map_dict,
     finalize_edges,
     mentions_edges,
-    mentions_edges_from_triples,
     mentions_edges_per_shard,
     merge_and_invalidate,
     rewrite_batch,
@@ -404,12 +403,10 @@ def _link_fingerprint(out_dir: str, run_ts_us: int) -> str:
     return "run:" + str(run_ts_us) + ":" + hashlib.md5("|".join(sorted(shard_fps)).encode()).hexdigest()
 
 
-def _driver_canon(
-    triples: "rd.Dataset", distinct: "rd.Dataset", out_dir: str, run_ts_us: int, timings: dict, t0: float
-):
+def _driver_canon(triples: "rd.Dataset", distinct: "rd.Dataset", run_ts_us: int, timings: dict, t0: float):
     """Canonical map collected driver-side (vocabulary-sized) and broadcast
     via ``ray.put``: nodes and IS_DUPLICATE_OF edges are driver tables, the
-    pointer rewrite is a lazy broadcast map."""
+    pointer rewrite is a lazy broadcast map over stateless tasks."""
     canon_map = canonicalize(triples, mentions=distinct)
     timings["canonicalize"] = round(time.time() - t0, 2)
     map_ref = ray.put(canon_map_dict(canon_map))
@@ -417,43 +414,18 @@ def _driver_canon(
         functools.partial(rewrite_batch, map_ref=map_ref), batch_format="pyarrow"
     )
     hot = int(canon_map.groupby("canon_uuid")["n"].sum().max()) if len(canon_map) else 0
-
-    # MENTIONS: zero-shuffle per-shard path — each episode's triples live
-    # entirely in one shard file (contiguous-slice sharding, one row per
-    # page + single-file atomic shard writes), so per-file dedup is globally
-    # exact; only the 6 endpoint columns are read (the fact strings, most of
-    # the triple bytes, never leave storage).
-    #
-    # The exactness invariant holds WITHIN one run (episode ⊂ one shard
-    # file) but not across runs: episode_uuid = md5('ep:'+url), and the TS8
-    # incremental-append model makes a url recurring across runs explicit.
-    # When triples/ holds shards from more than one run fingerprint the
-    # per-shard path would emit duplicate MENTIONS rows for shared urls, so
-    # the route falls back to the generic dedup-shuffle path.
-    troot = os.path.join(out_dir, "triples")
-    run_fps = {
-        d.split("shard=", 1)[1].split("-", 1)[0] for d in os.listdir(troot) if d.startswith("shard=")
-    }
-    if len(run_fps) <= 1:
-        timings["mentions_path"] = "per-shard"
-        men = mentions_edges_per_shard(troot, map_ref, run_ts_us)
-    else:
-        timings["mentions_path"] = "generic(multi-run)"
-        men = mentions_edges_from_triples(triples, map_ref, run_ts_us)
     return (
         build_nodes_table(canon_map, run_ts_us),
         build_duplicate_of_edges(canon_map, run_ts_us),
-        rewritten, hot, men,
+        rewritten, hot, map_ref,
     )
 
 
-def _distributed_canon(
-    triples: "rd.Dataset", distinct: "rd.Dataset", out_dir: str, run_ts_us: int, timings: dict, t0: float
-):
+def _distributed_canon(triples: "rd.Dataset", distinct: "rd.Dataset", run_ts_us: int, timings: dict, t0: float):
     """Zero driver materialization: the canonical map stays a Dataset, the
     same node and IS_DUPLICATE_OF builders run per canon_uuid bucket and
     per batch, and the pointer rewrite is a hash join. The only driver-side
-    values are counts and manifests."""
+    values are counts and manifests; there is no broadcast map."""
     canon_ds = canonicalize_distributed(triples, mentions=distinct).materialize()
     timings["canonicalize"] = round(time.time() - t0, 2)
     nodes = bucketed_group_apply(canon_ds, ["canon_uuid"], lambda df: build_nodes_table(df, run_ts_us))
@@ -475,8 +447,7 @@ def _distributed_canon(
     )
     # pinned: both the edges job and the MENTIONS job consume it
     rewritten = rewrite_via_join(triples, canon_ds).materialize()
-    timings["mentions_path"] = "rewritten"
-    return nodes, dups, rewritten, hot, mentions_edges(rewritten, run_ts_us)
+    return nodes, dups, rewritten, hot, None
 
 
 def link_and_edges_phase(
@@ -494,7 +465,12 @@ def link_and_edges_phase(
     Dataset; below it the driver broadcast strategy (``_driver_canon``,
     faster in the vocabulary-sized regime) runs. Both write the same rows
     with the same schemas. ``timings`` names the routes taken:
-    ``canon_path`` and ``mentions_path``."""
+    ``canon_path`` and ``mentions_path``.
+
+    MENTIONS is one kernel over rewritten rows in one of two placements:
+    per-shard (``mentions_edges_per_shard``, no exchange) when a broadcast
+    map exists and triples/ holds one run fingerprint, else behind one
+    (episode, entity) exchange (``mentions_edges``) on ``rewritten``."""
     from ..stages.canonicalize import CANON_DRIVER_MAX_MENTIONS
 
     timings = timings if timings is not None else {}
@@ -515,8 +491,24 @@ def link_and_edges_phase(
     timings["canon_path"] = "distributed(auto)" if distributed else "driver"
     fp = _link_fingerprint(out_dir, run_ts_us) + (":distcanon" if distributed else "")
     strategy = _distributed_canon if distributed else _driver_canon
-    nodes, dups, rewritten, hot, men = strategy(triples, distinct, out_dir, run_ts_us, timings, t0)
+    nodes, dups, rewritten, hot, map_ref = strategy(triples, distinct, run_ts_us, timings, t0)
     t0 += timings["canonicalize"]  # edges_job runs from the end of canonicalization
+
+    # MENTIONS placement. Per-shard is exact only within one run: each
+    # episode's triples live in one shard file (contiguous-slice sharding,
+    # one row per page, single-file atomic shard writes), but
+    # episode_uuid = md5('ep:'+url) and the TS8 incremental-append model
+    # lets a url recur across runs, in another run's shard file. A second
+    # consumer of the broadcast `rewritten` re-executes stateless tasks
+    # only, so it needs no materialize.
+    troot = os.path.join(out_dir, "triples")
+    run_fps = {d.split("shard=", 1)[1].split("-", 1)[0] for d in os.listdir(troot) if d.startswith("shard=")}
+    if map_ref is not None and len(run_fps) <= 1:
+        timings["mentions_path"] = "per-shard"
+        men = mentions_edges_per_shard(troot, map_ref, run_ts_us)
+    else:
+        timings["mentions_path"] = "rewritten" if map_ref is None else "generic(multi-run)"
+        men = mentions_edges(rewritten, run_ts_us)
 
     # nodes + D2 audit trail (IS_DUPLICATE_OF alias→canonical edges): both
     # routes write shard=0000, so a route flip in one out_dir replaces the
@@ -537,11 +529,12 @@ def link_and_edges_phase(
         Embedder("fact", "fact_embedding"), batch_format="pyarrow"
     )
 
-    # The edges and MENTIONS jobs share no lineage beyond the broadcast map
-    # or the pinned `rewritten` blocks, so they run CONCURRENTLY — each
-    # Dataset drives its own streaming executor and Ray schedules both task
-    # pools over the cluster; serializing them left whichever job ran
-    # second idle-waiting on the driver for no reason.
+    # The edges and MENTIONS jobs share no lineage beyond the broadcast map,
+    # the stateless broadcast rewrite or the pinned `rewritten` blocks, so
+    # they run CONCURRENTLY — each Dataset drives its own streaming
+    # executor and Ray schedules both task pools over the cluster;
+    # serializing them left whichever job ran second idle-waiting on the
+    # driver for no reason.
     mention_err: list[BaseException] = []
     men_wall: list[float] = []
     t_men = time.time()

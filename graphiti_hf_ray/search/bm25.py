@@ -37,6 +37,10 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text.lower())
 
 
+def _no_hits(id_col: str) -> pd.DataFrame:
+    return pd.DataFrame({id_col: pd.Series([], dtype=str), "score": pd.Series([], dtype="float64")})
+
+
 def bm25_topk(
     ds: "ray.data.Dataset",
     query: str,
@@ -48,7 +52,7 @@ def bm25_topk(
     score rounded to 6 dp, ties broken by id."""
     terms = tokenize(query)[:MAX_QUERY_TERMS]
     if not terms:
-        return pd.DataFrame({id_col: [], "score": []})
+        return _no_hits(id_col)
     uniq_terms = sorted(set(terms))
     terms_ref = ray.put(uniq_terms)
 
@@ -78,7 +82,7 @@ def bm25_topk(
     n_docs = int(sdf.groupby("term")["n_docs"].sum().iloc[0])
     total_len = int(sdf.groupby("term")["total_len"].sum().iloc[0])
     if n_docs == 0:
-        return pd.DataFrame({id_col: [], "score": []})
+        return _no_hits(id_col)
     avgdl = total_len / n_docs
     idf = {
         w: math.log((n_docs - int(agg[w]) + 0.5) / (int(agg[w]) + 0.5) + 1.0) for w in uniq_terms
@@ -111,4 +115,6 @@ def bm25_topk(
 
     cands = ds.map_batches(score, batch_format="pyarrow")
     out = cands.sort(["score", id_col], descending=[True, False]).limit(k).to_pandas()
-    return out
+    # no row scored above 0: the sort's blocks are all empty and carry no
+    # columns, so return the typed empty frame instead
+    return out if len(out) else _no_hits(id_col)

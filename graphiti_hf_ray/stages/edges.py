@@ -51,34 +51,15 @@ def _registry_functional_preds() -> frozenset:
 FUNCTIONAL_PREDS = _registry_functional_preds()
 
 
-# Per-worker broadcast cache: a ray.put dict deserializes on every
-# ray.get in a task, so stateless tasks cache it per worker process keyed
-# by the ObjectRef. This keeps the hot map stages as plain TASKS (fully
-# elastic — no actor-pool sizing) while paying the deserialization once
-# per worker, like an actor __init__ would.
-_BROADCAST_CACHE: dict[str, object] = {}
-
-
-def _get_broadcast(ref):
-    if isinstance(ref, dict):
-        return ref
-    key = ref.hex() if hasattr(ref, "hex") else str(ref)
-    hit = _BROADCAST_CACHE.get(key)
-    if hit is None:
-        hit = ray.get(ref)
-        _BROADCAST_CACHE.clear()  # hold at most one broadcast per worker
-        _BROADCAST_CACHE[key] = hit
-    return hit
-
-
 class CanonicalRewrite:
     """map_batches stage: triples batch → endpoints rewritten to canonical
     (uuid, name). ``map_ref`` is a ``ray.put`` ObjectRef of the dict
     {(group, label, surface) key → (canon_name, canon_uuid)} — fetched once
-    per worker, zero-copy from the local object store thereafter."""
+    per worker (``rewrite_batch``), zero-copy from the local object store
+    thereafter; a plain dict is used as is."""
 
     def __init__(self, map_ref):
-        m = _get_broadcast(map_ref)
+        m = map_ref if isinstance(map_ref, dict) else ray.get(map_ref)
         self._names = {k: v[0] for k, v in m.items()}
         self._uuids = {k: v[1] for k, v in m.items()}
 
@@ -114,6 +95,26 @@ class CanonicalRewrite:
         out = out.append_column("obj_uuid", pa.array(dst_u, pa.string()))
         out = out.append_column("obj_name", pa.array(dst_n, pa.string()))
         return out
+
+
+# Per-worker rewrite memo: a ray.put dict deserializes on every ray.get in
+# a task, so the stateless rewrite tasks keep one parsed CanonicalRewrite
+# per worker process, keyed by the ObjectRef. The hot map stages stay plain
+# TASKS (fully elastic, no actor-pool sizing) and build the O(vocabulary)
+# dicts once per worker, like an actor __init__ would. One slot: the edges
+# and MENTIONS jobs of a link phase share one map_ref.
+_REWRITE_MEMO: dict[str, CanonicalRewrite] = {}
+
+
+def rewrite_batch(batch: pa.Table, map_ref) -> pa.Table:
+    """Task form of CanonicalRewrite over a ``ray.put`` map, memoized per
+    worker process."""
+    key = map_ref.hex()
+    rw = _REWRITE_MEMO.get(key)
+    if rw is None:
+        _REWRITE_MEMO.clear()
+        rw = _REWRITE_MEMO[key] = CanonicalRewrite(map_ref)
+    return rw(batch)
 
 
 def canon_map_dict(canon_map: pd.DataFrame) -> dict[str, tuple[str, str]]:
@@ -254,22 +255,6 @@ def dedup_edges(rewritten: "ray.data.Dataset") -> "ray.data.Dataset":
     )
 
 
-def merge_sweep_bucket(df: pd.DataFrame) -> pd.DataFrame:
-    """Fused dedup-merge + temporal sweep for one (group, pred, obj) hash
-    bucket. The bucket key is COARSER than the dedup key (it's a prefix of
-    (g, s, p, o) up to column order), so every row of one canonical triple
-    AND every edge of one invalidation group co-locate here — one shuffle
-    does both (A3 + TS2-TS4)."""
-    out = merge_edge_bucket(df)
-    out["invalid_at"] = pd.Series(pd.NaT, index=out.index, dtype="datetime64[us]")
-    fn_mask = out["name"].isin(FUNCTIONAL_PREDS)
-    if fn_mask.any():
-        sub = out.loc[fn_mask].sort_values(["valid_at", "source_uuid"], kind="mergesort")
-        inv = sub.groupby(["group_id", "name", "target_uuid"], sort=False)["valid_at"].shift(-1)
-        out.loc[inv.index, "invalid_at"] = inv.astype("datetime64[us]")
-    return out
-
-
 def combine_partial_edges_and_sweep(df: pd.DataFrame) -> pd.DataFrame:
     """Round-2 body of the SALTED merge path: the input rows are per-salt
     PARTIAL edges (``merge_edge_bucket`` output — already renamed columns),
@@ -277,8 +262,8 @@ def combine_partial_edges_and_sweep(df: pd.DataFrame) -> pd.DataFrame:
     of each dedup key (min valid_at wins fact/created_by via the same
     (valid_at, earliest-episode) order the unsalted path uses; occurrence
     counts sum; episode sets union), recompute the uuid from the final
-    valid_at, then run the functional-predicate sweep — output is
-    row-identical to ``merge_sweep_bucket`` (parity-tested)."""
+    valid_at, then run the functional-predicate sweep (TS3/TS4). Both merge
+    paths of ``merge_and_invalidate`` end here."""
     keys = ["group_id", "source_uuid", "name", "target_uuid"]
     df = df.sort_values(["valid_at", "created_by"], kind="mergesort")
     agg = df.groupby(keys, as_index=False, sort=False).agg(
@@ -445,58 +430,6 @@ def finalize_edges(edges_ds: "ray.data.Dataset", run_ts_us: int) -> "ray.data.Da
 # MENTIONS episodic edges (graphiti_core/utils/maintenance/edge_operations.py:48-65)
 # ---------------------------------------------------------------------------
 
-def mentions_partial(batch: pa.Table) -> pa.Table:
-    """Rewritten-triples batch → partial-distinct (episode, entity) pairs."""
-    df = batch.to_pandas()
-    a = df[["episode_uuid", "group_id", "src_uuid"]].rename(columns={"src_uuid": "entity_uuid"})
-    b = df[["episode_uuid", "group_id", "obj_uuid"]].rename(columns={"obj_uuid": "entity_uuid"})
-    both = pd.concat([a, b], ignore_index=True).drop_duplicates(["episode_uuid", "entity_uuid"])
-    return pa.Table.from_pandas(both, preserve_index=False)
-
-
-_INSTANCE_MEMO: dict[str, object] = {}
-
-
-def _memo_instance(cls, ref):
-    key = cls.__name__ + ":" + (ref.hex() if hasattr(ref, "hex") else str(id(ref)))
-    inst = _INSTANCE_MEMO.get(key)
-    if inst is None:
-        # bound, don't clear-on-miss: the edges and MENTIONS jobs run
-        # concurrently on the same workers, so CanonicalRewrite and
-        # MentionsFromTriples tasks interleave — clearing on every miss
-        # would rebuild the O(vocabulary) dicts on each alternation
-        if len(_INSTANCE_MEMO) >= 4:
-            _INSTANCE_MEMO.clear()
-        inst = cls(ref)
-        _INSTANCE_MEMO[key] = inst
-    return inst
-
-
-def rewrite_batch(batch: pa.Table, map_ref) -> pa.Table:
-    """Task form of CanonicalRewrite: fully elastic stateless tasks with the
-    parsed broadcast memoized per worker process."""
-    return _memo_instance(CanonicalRewrite, map_ref)(batch)
-
-
-def mentions_batch(batch: pa.Table, map_ref) -> pa.Table:
-    """Task form of MentionsFromTriples (same per-worker memo pattern)."""
-    return _memo_instance(MentionsFromTriples, map_ref)(batch)
-
-
-class MentionsFromTriples:
-    """Light rewrite for the MENTIONS path: maps only the endpoint keys to
-    canonical uuids and emits partial-distinct (episode, entity) pairs —
-    the fact/valid_at columns never enter this shuffle."""
-
-    def __init__(self, map_ref):
-        m = _get_broadcast(map_ref)
-        self._uuids = {k: v[1] for k, v in m.items()}
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        pairs = _endpoint_pairs(batch, self._uuids).drop_duplicates(["episode_uuid", "entity_uuid"])
-        return pa.Table.from_pandas(pairs, preserve_index=False)
-
-
 MENTIONS_SCHEMA = pa.schema(
     [
         ("uuid", pa.string()),
@@ -507,31 +440,18 @@ MENTIONS_SCHEMA = pa.schema(
     ]
 )
 
-
-def _endpoint_pairs(t: pa.Table, uuids: dict) -> pd.DataFrame:
-    """Triples batch → (episode_uuid, group_id, entity_uuid) rows, both
-    endpoint keys mapped to canonical uuids (unmapped keys dropped)."""
-    sep = pa.scalar(SEP)
-    g = t.column("group_id")
-    skey = pc.binary_join_element_wise(g, t.column("subj_label"), t.column("subj_surface"), sep)
-    okey = pc.binary_join_element_wise(g, t.column("obj_label"), t.column("obj_surface"), sep)
-    ep = t.column("episode_uuid").to_pandas()
-    gid = g.to_pandas()
-    sk = pd.Series(skey.to_pandas()).map(uuids)
-    ok = pd.Series(okey.to_pandas()).map(uuids)
-    return pd.DataFrame(
-        {
-            "episode_uuid": pd.concat([ep, ep], ignore_index=True),
-            "group_id": pd.concat([gid, gid], ignore_index=True),
-            "entity_uuid": pd.concat([sk, ok], ignore_index=True),
-        }
-    ).dropna(subset=["entity_uuid"])
+def mentions_partial(batch: pa.Table) -> pa.Table:
+    """Rewritten-triples batch → partial-distinct (episode, entity) pairs."""
+    df = batch.select(["episode_uuid", "group_id", "src_uuid", "obj_uuid"]).to_pandas()
+    a = df[["episode_uuid", "group_id", "src_uuid"]].rename(columns={"src_uuid": "entity_uuid"})
+    b = df[["episode_uuid", "group_id", "obj_uuid"]].rename(columns={"obj_uuid": "entity_uuid"})
+    both = pd.concat([a, b], ignore_index=True).drop_duplicates(["episode_uuid", "entity_uuid"])
+    return pa.Table.from_pandas(both, preserve_index=False)
 
 
 def _mentions_rows(pairs: pd.DataFrame, run_ts_us: int) -> pa.Table:
     """(episode_uuid, group_id, entity_uuid) pairs → MENTIONS rows, one per
-    distinct (episode, entity), each with its deterministic edge uuid. The
-    one row builder every MENTIONS route emits through."""
+    distinct (episode, entity), each with its deterministic edge uuid."""
     df = pairs.drop_duplicates(["episode_uuid", "entity_uuid"])
     n = len(df)
     return pa.table(
@@ -548,29 +468,24 @@ def _mentions_rows(pairs: pd.DataFrame, run_ts_us: int) -> pa.Table:
     )
 
 
-def _mentions_rows_exact(t: pa.Table, uuids: dict, run_ts_us: int) -> pa.Table:
-    """Final MENTIONS rows for one complete shard's triples table. Exact iff
-    ``t`` holds ALL triples of every episode it contains (see
-    mentions_edges_per_shard)."""
-    if t.num_rows == 0:
-        return MENTIONS_SCHEMA.empty_table()
-    return _mentions_rows(_endpoint_pairs(t, uuids), run_ts_us)
-
-
 def mentions_edges_per_shard(triples_root: str, map_ref, run_ts_us: int) -> "ray.data.Dataset":
-    """MENTIONS episodic edges with ZERO shuffle — one task per shard file.
+    """MENTIONS episodic edges, per-shard placement: ZERO exchange, one task
+    per shard file. Each task reads the 6 endpoint columns of its file,
+    rewrites them through the broadcast map (``rewrite_batch``) and runs the
+    MENTIONS kernel (``mentions_partial`` → ``_mentions_rows``) on the
+    whole file.
 
     Partitioning assumption (relied on, documented): the extract phase
     assigns every page — and a page IS an episode — to exactly one shard
     (a page is one input row; shards are contiguous input slices,
     pipelines/kg.py extract_phase) and each shard directory holds ONE
     parquet file written in a single pq.write_table call
-    (io.write_shard_atomic). All triples of an episode therefore sit
-    in one file, so per-file dedup of (episode, entity) pairs is globally
-    exact; the generic path's full-stream dedup shuffle
-    (mentions_edges_from_triples) only ever removes duplicates that cannot
-    span files (measured: 76 of 7.19M pairs at sf0.1×256 — all within-file,
-    all caught here too). Parity-tested against the generic path.
+    (io.write_shard_atomic). All triples of an episode therefore sit in one
+    file, so per-file dedup of (episode, entity) pairs is globally exact,
+    and the exchange placement (``mentions_edges``) only ever removes
+    duplicates that cannot span files (measured: 76 of 7.19M pairs at
+    sf0.1×256 — all within-file, all caught here too). Parity-tested
+    against the exchange placement.
 
     PRECONDITION (single-run, unique urls): episode_uuid = md5('ep:'+url)
     and shards are POSITIONAL input slices, so the invariant only holds
@@ -578,15 +493,14 @@ def mentions_edges_per_shard(triples_root: str, map_ref, run_ts_us: int) -> "ray
     recurring in a second appended run (or twice in one input) lands in a
     different shard file and per-file dedup misses the pair. The caller
     (pipelines/kg.py link phase) enforces the single-run half: triples/
-    holding shards from more than one run fingerprint routes to
-    mentions_edges_from_triples.
+    holding shards from more than one run fingerprint routes to the
+    exchange placement.
 
     Scale shape: embarrassingly parallel over shard files (parallelism =
-    shard count), reads only the 6 endpoint columns, emits final rows
-    straight to the sink with no exchange — at 100 TB this replaces the
-    single most expensive shuffle of the default kg_build with a streaming
-    map. Inputs whose shard layout is unknown must use
-    mentions_edges_from_triples instead."""
+    shard count), reads only the endpoint columns (the fact strings, most of
+    the triple bytes, never leave storage) and emits final rows straight to
+    the sink — at 100 TB this replaces the single most expensive shuffle of
+    the default kg_build with a streaming map."""
     import glob as _glob
 
     import pyarrow.parquet as _pq
@@ -603,9 +517,11 @@ def mentions_edges_per_shard(triples_root: str, map_ref, run_ts_us: int) -> "ray
     cols = ["episode_uuid", "group_id", "subj_surface", "subj_label", "obj_surface", "obj_label"]
 
     def per_file(batch: pa.Table) -> pa.Table:
-        uuids = _memo_instance(MentionsFromTriples, map_ref)._uuids
         tables = [
-            _mentions_rows_exact(_pq.read_table(path, columns=cols), uuids, run_ts_us)
+            _mentions_rows(
+                mentions_partial(rewrite_batch(_pq.read_table(path, columns=cols), map_ref)).to_pandas(),
+                run_ts_us,
+            )
             for path in batch.column("path").to_pylist()
         ]
         return pa.concat_tables(tables) if tables else MENTIONS_SCHEMA.empty_table()
@@ -614,23 +530,11 @@ def mentions_edges_per_shard(triples_root: str, map_ref, run_ts_us: int) -> "ray
     return paths.map_batches(per_file, batch_format="pyarrow", batch_size=1)
 
 
-def mentions_edges_from_triples(triples: "ray.data.Dataset", map_ref, run_ts_us: int) -> "ray.data.Dataset":
-    """MENTIONS episodic edges straight from the triples parquet — no
-    dependency on the full rewritten Dataset (one independent lazy job).
-    Generic fallback: makes no layout assumption, pays one full-stream
-    dedup shuffle; shard-aligned outputs use mentions_edges_per_shard."""
-    from .shuffle import bucketed_group_apply
-
-    partial = triples.map_batches(
-        functools.partial(mentions_batch, map_ref=map_ref), batch_format="pyarrow"
-    )
-    emit = functools.partial(_mentions_rows, run_ts_us=run_ts_us)
-    return bucketed_group_apply(partial, ["episode_uuid", "entity_uuid"], emit)
-
-
 def mentions_edges(rewritten: "ray.data.Dataset", run_ts_us: int) -> "ray.data.Dataset":
-    """MENTIONS episodic edges from already-rewritten triples (the
-    distributed link route, whose canonical map is never broadcast)."""
+    """MENTIONS episodic edges, exchange placement: the MENTIONS kernel
+    behind one bucketed (episode, entity) exchange. Makes no layout
+    assumption, so it serves every rewritten Dataset: the broadcast rewrite
+    over a multi-run triples/ and the distributed route's join rewrite."""
     from .shuffle import bucketed_group_apply
 
     partial = rewritten.map_batches(mentions_partial, batch_format="pyarrow")

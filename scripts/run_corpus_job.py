@@ -62,8 +62,8 @@ def main() -> int:
                     help="enable the hashed-ngram model quality gate at this mean weight")
     ap.add_argument("--model-quality-weights", default=None,
                     help=".npy file of trained quality weights (stub weights when omitted)")
-    ap.add_argument("--fingerprint", default="corpus-v1",
-                    help="resume fingerprint prefix (encode your knob set)")
+    ap.add_argument("--fingerprint", default=None,
+                    help="resume fingerprint prefix (encode your knob set; default corpus-v1)")
     ap.add_argument("--track-doc-keys", action="store_true",
                     help="persist the input's distinct text fingerprints as <out>/doc_keys "
                          "(the precondition for --append-batch runs later)")
@@ -80,11 +80,11 @@ def main() -> int:
     ap.add_argument("--dsir-target", default=None, metavar="PARQUET",
                     help="DSIR importance resampling: parquet of trusted target texts "
                          "(requires --dsir-k)")
-    ap.add_argument("--dsir-target-col", default="text")
+    ap.add_argument("--dsir-target-col", default=None, help="text column of --dsir-target (default text)")
     ap.add_argument("--dsir-k", type=int, default=None,
                     help="keep the k docs with the largest Gumbel-perturbed DSIR "
                          "importance weights (requires --dsir-target)")
-    ap.add_argument("--dsir-seed", type=int, default=0)
+    ap.add_argument("--dsir-seed", type=int, default=None, help="Gumbel-top-k seed (default 0)")
     ap.add_argument("--bpe-vocab-size", type=int, default=None,
                     help="train a byte-level BPE tokenizer on the survivors and "
                          "ship it as <out>/bpe.json (load with corpus.load_tokenizer)")
@@ -102,6 +102,30 @@ def main() -> int:
                     help="materialize each stage boundary and report per-stage row counts")
     ap.add_argument("--num-cpus", type=int, default=None, help="local-mode CPU count (cluster mode: omit)")
     args = ap.parse_args()
+    if args.append_batch is not None:
+        unsupported = {
+            "--fuzzy-jaccard": args.fuzzy_jaccard, "--span-dedup-k": args.span_dedup_k,
+            "--quality-gate": args.quality_gate or None,
+            "--surprisal-max-bits": args.surprisal_max_bits,
+            "--model-quality-min": args.model_quality_min,
+            "--model-quality-weights": args.model_quality_weights, "--mixture": args.mixture,
+            "--bpe-vocab-size": args.bpe_vocab_size, "--shuffle-seed": args.shuffle_seed,
+            "--counts": args.counts or None,
+            "--track-doc-keys": args.track_doc_keys or None,
+            "--track-minhash-jaccard": args.track_minhash_jaccard,
+            "--dsir-target": args.dsir_target, "--dsir-k": args.dsir_k,
+            "--dsir-seed": args.dsir_seed, "--dsir-target-col": args.dsir_target_col,
+            "--fingerprint": args.fingerprint,
+        }
+        bad = [k for k, v in unsupported.items() if v is not None]
+        if bad:
+            ap.error(f"{', '.join(bad)}: prepare-only knob(s) — appends are "
+                     "dedup+decontam+gate+pack only; re-prepare to refresh the rest")
+    # prepare-only defaults resolve after the refusal, so an explicit
+    # default value is refused in append mode too
+    for name, default in (("dsir_seed", 0), ("dsir_target_col", "text"), ("fingerprint", "corpus-v1")):
+        if getattr(args, name) is None:
+            setattr(args, name, default)
 
     import ray
 
@@ -127,25 +151,6 @@ def main() -> int:
         ]
 
     if args.append_batch is not None:
-        unsupported = {
-            "--fuzzy-jaccard": args.fuzzy_jaccard, "--span-dedup-k": args.span_dedup_k,
-            "--quality-gate": args.quality_gate or None,
-            "--surprisal-max-bits": args.surprisal_max_bits,
-            "--model-quality-min": args.model_quality_min,
-            "--model-quality-weights": args.model_quality_weights, "--mixture": args.mixture,
-            "--bpe-vocab-size": args.bpe_vocab_size, "--shuffle-seed": args.shuffle_seed,
-            "--counts": args.counts or None,
-            "--track-doc-keys": args.track_doc_keys or None,
-            "--track-minhash-jaccard": args.track_minhash_jaccard,
-            "--dsir-target": args.dsir_target, "--dsir-k": args.dsir_k,
-            "--dsir-seed": args.dsir_seed or None,
-            "--dsir-target-col": None if args.dsir_target_col == "text" else args.dsir_target_col,
-            "--fingerprint": None if args.fingerprint == "corpus-v1" else args.fingerprint,
-        }
-        bad = [k for k, v in unsupported.items() if v is not None]
-        if bad:
-            ap.error(f"{', '.join(bad)}: prepare-only knob(s) — appends are "
-                     "dedup+decontam+gate+pack only; re-prepare to refresh the rest")
         from graphiti_hf_ray.pipelines.corpus import append_training_set
 
         cpus = int(ray.cluster_resources().get("CPU", 16))

@@ -272,7 +272,7 @@ def test_multi_run_shared_urls_route_generic_mentions(ray_session, pages_parquet
     """A url recurring across appended runs breaks the per-shard MENTIONS
     exactness invariant (episode ⊂ one shard FILE only holds within a
     run); the link phase must detect the multi-run layout and route
-    through the generic dedup-shuffle path — no duplicate MENTIONS rows."""
+    through the exchange placement — no duplicate MENTIONS rows."""
     pg = pq.read_table(pages_parquet)
     half = pg.num_rows // 2
     d = tmp_path_factory.mktemp("overlap")
@@ -284,14 +284,13 @@ def test_multi_run_shared_urls_route_generic_mentions(ray_session, pages_parquet
     build_graph([p1], out, num_shards=2)
     metrics = build_graph([p2], out, num_shards=2)
     assert metrics["timings"].get("mentions_path") == "generic(multi-run)"
-    men = gio.read_table_dir(out, "episodic_edges").to_pandas()
-    assert men["uuid"].is_unique
-    # overlapping episodes carry identical content → the distinct MENTIONS
-    # set equals the single full build's
-    full = gio.read_table_dir(graph_out, "episodic_edges").to_pandas()
-    assert set(zip(men["source_node_uuid"], men["target_node_uuid"])) == set(
-        zip(full["source_node_uuid"], full["target_node_uuid"])
-    )
+    men = gio.read_table_dir(out, "episodic_edges")
+    assert len(set(men.column("uuid").to_pylist())) == men.num_rows
+    # overlapping episodes carry identical content → every MENTIONS column
+    # and row equals the single full build's
+    full = gio.read_table_dir(graph_out, "episodic_edges")
+    assert men.schema.equals(full.schema), (men.schema, full.schema)
+    assert men.sort_by("uuid").equals(full.sort_by("uuid"))
 
 
 def test_incremental_append_matches_full_build(ray_session, pages_parquet, tmp_path_factory):
@@ -537,11 +536,10 @@ def test_link_route_flip_matches_fresh_build(ray_session, pages_parquet, graph_o
 
 
 def test_mentions_per_shard_parity_with_generic(ray_session, graph_out):
-    """The zero-shuffle per-shard MENTIONS path returns row-identical
-    output to the generic full-stream-dedup path (its documented
-    partitioning assumption — episode ⊂ shard file — holds for every
-    extract_phase output), and so does the rewritten-triples path the
-    distributed link route takes."""
+    """The zero-exchange per-shard MENTIONS placement returns row-identical
+    output to the exchange placement over the broadcast rewrite (its
+    documented partitioning assumption — episode ⊂ shard file — holds for
+    every extract_phase output)."""
     import functools
     import os
 
@@ -552,7 +550,6 @@ def test_mentions_per_shard_parity_with_generic(ray_session, graph_out):
     from graphiti_hf_ray.stages.edges import (
         canon_map_dict,
         mentions_edges,
-        mentions_edges_from_triples,
         mentions_edges_per_shard,
         rewrite_batch,
     )
@@ -574,12 +571,6 @@ def test_mentions_per_shard_parity_with_generic(ray_session, graph_out):
         .sort_values("uuid")
         .reset_index(drop=True)
     )
-    b = (
-        mentions_edges_from_triples(rd.read_parquet(troot, columns=cols), map_ref, run_ts_us)
-        .to_pandas()
-        .sort_values("uuid")
-        .reset_index(drop=True)
-    )
     c = (
         mentions_edges(
             rd.read_parquet(troot, columns=cols).map_batches(
@@ -592,7 +583,6 @@ def test_mentions_per_shard_parity_with_generic(ray_session, graph_out):
         .reset_index(drop=True)
     )
     assert len(a) > 0
-    pd.testing.assert_frame_equal(a, b[a.columns])
     pd.testing.assert_frame_equal(a, c[a.columns])
 
 
@@ -1845,6 +1835,23 @@ def test_append_training_set_preconditions(ray_session, tmp_path):
         )
     with _pytest.raises(ValueError, match="non-empty string"):
         append_training_set(rd.from_pandas(docs), [], ok, fingerprint="", **common)
+
+
+def test_corpus_cli_append_refuses_prepare_flags_at_default(tmp_path):
+    """The corpus CLI refuses a prepare-only flag in append mode even when
+    it is passed at its default value (exit 2, naming the flag), and
+    refuses before it starts Ray or reads any input."""
+    import subprocess
+    import sys
+
+    script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts", "run_corpus_job.py")
+    base = [sys.executable, script, "--docs", str(tmp_path / "missing.parquet"), "--out", str(tmp_path / "out"),
+            "--append-batch", "b"]
+    for flag, value in (("--dsir-seed", "0"), ("--dsir-target-col", "text"), ("--fingerprint", "corpus-v1")):
+        r = subprocess.run(base + [flag, value], capture_output=True, text=True, timeout=300)
+        assert r.returncode == 2, (flag, r.returncode, r.stderr[-2000:])
+        assert flag in r.stderr, (flag, r.stderr[-2000:])
+    assert not (tmp_path / "out").exists()
 
 
 def test_append_training_set_stale_doc_keys(ray_session, tmp_path):

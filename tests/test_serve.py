@@ -278,3 +278,15 @@ def test_service_injected_extractor_factory(ray_session, tmp_path_factory):
     svc.add_episode("g", "e1", "Ada Lovelace works at Acme Corporation.")
     tr = gio.read_table_dir(out, "triples").to_pandas()
     assert len(tr) == 1 and (tr["pred"] == marker).all()
+
+
+def test_search_no_match_returns_empty_facts(ray_session, tmp_path_factory):
+    """A query no fact scores on returns no facts instead of raising: the
+    BM25 top-k of a zero-hit query is a typed empty (uuid, score) frame."""
+    from graphiti_hf_ray.serve import GraphService
+
+    svc = GraphService(str(tmp_path_factory.mktemp("svc_nohit")))
+    svc.add_episode("g", "epA", "Ada Lovelace works at Acme Corporation.")
+    svc.add_episode("g", "epB", "Grace Hopper moved to Oslo.")
+    assert any("Acme" in f["fact"] for f in svc.search("Acme", group_ids=["g"])["facts"])
+    assert svc.search("zzzqqq", group_ids=["g"]) == {"facts": []}
