@@ -61,7 +61,7 @@ import pyarrow.compute as pc
 
 import ray
 
-from .vectors import embedding_matrix, float64_array, int64_array
+from .vectors import embedding_matrix, float64_array, int64_array, l2_normalize
 
 logger = logging.getLogger(__name__)
 
@@ -1336,12 +1336,7 @@ def _stack_embeddings(col) -> np.ndarray:
     """Normalize a pandas object column of per-row vectors (the per-bucket
     pandas bodies). Arrow columns go through the zero-copy
     ``vectors.embedding_matrix`` instead."""
-    m = np.stack([np.asarray(v, np.float64) for v in col])
-    return m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-12)
-
-
-def _norm_rows(m: np.ndarray) -> np.ndarray:
-    return m / np.maximum(np.linalg.norm(m, axis=1, keepdims=True), 1e-12)
+    return l2_normalize(np.stack([np.asarray(v, np.float64) for v in col]))
 
 
 def embedding_neardup(
@@ -1523,13 +1518,10 @@ def embedding_neardup_lsh(
     matmul. Misses cross-bucket pairs (recall < 1 by design — the price of
     O(n²/2^planes) work); output is always a subset of
     ``embedding_neardup`` at the same threshold."""
-    from .knn import _plane
+    from .knn import sign_buckets
 
     def add_bucket(t: pa.Table) -> pa.Table:
-        m = _norm_rows(embedding_matrix(t.column("embedding")))
-        planes = np.stack([_plane(i, m.shape[1]) for i in range(n_planes)])
-        bits = (m @ planes.T > 0).astype(np.int64)
-        buckets = bits @ (1 << np.arange(n_planes))
+        buckets = sign_buckets(l2_normalize(embedding_matrix(t.column("embedding"))), n_planes)
         return t.append_column("lsh_bucket", pa.array(buckets, pa.int32())).replace_schema_metadata(None)
 
     from ..stages.shuffle import bucketed_group_apply

@@ -14,6 +14,13 @@
   code/score kernels the persisted IVF-PQ sidecar builds on
   (``search.index.build_ivfpq_index``).
 
+This module is the one home of the quantizer math: ``sign_buckets`` (the
+sign-plane LSH hash over the memoized md5 planes), ``nearest_lists`` (IVF
+list assignment) and ``probe_order`` (nearest-first list probing). The
+streaming scorers here, the persisted sidecars (``search.index``), the
+embedding-bucket communities and the LSH near-dup screen all call them,
+so one row always lands in the same bucket or list on every path.
+
 Scoring runs as stateless TASKS (broadcast ref read per batch from local
 plasma), not actor pools: the per-query state is one small array, and
 actor-pool spin-up (~1-2 s for a fresh pool) would dominate small-corpus
@@ -32,17 +39,13 @@ import pyarrow as pa
 
 import ray
 
-from .vectors import embedding_matrix, int64_array
-
-
-def _normalize(m: np.ndarray) -> np.ndarray:
-    return m / np.maximum(np.linalg.norm(m, axis=-1, keepdims=True), 1e-12)
+from .vectors import embedding_matrix, int64_array, l2_normalize
 
 
 def _score_batch(t: pa.Table, qref=None, k: int = 10) -> pa.Table:
     q = ray.get(qref)  # local plasma read, cached per worker
     ids = int64_array(t.column("vec_id"))
-    m = _normalize(embedding_matrix(t.column("embedding")))
+    m = l2_normalize(embedding_matrix(t.column("embedding")))
     sims = m @ q
     order = np.lexsort((ids, -sims))[:k]  # local top-k
     return pa.table(
@@ -73,7 +76,7 @@ def knn_brute(emb: "ray.data.Dataset", query_vec: np.ndarray, k: int = 10) -> pd
 
     Returns a DataFrame (vec_id, cosine) — k rows, cosine rounded to 6 dp,
     ties broken by vec_id (deterministic)."""
-    q = _normalize(np.asarray(query_vec, np.float64))
+    q = l2_normalize(np.asarray(query_vec, np.float64))
     qref = ray.put(q)
     cands = emb.map_batches(
         functools.partial(_score_batch, qref=qref, k=k),
@@ -85,7 +88,7 @@ def knn_brute(emb: "ray.data.Dataset", query_vec: np.ndarray, k: int = 10) -> pd
 def _score_multi_batch(t: pa.Table, qref=None, k: int = 10) -> pa.Table:
     q = ray.get(qref)
     ids = int64_array(t.column("vec_id"))
-    m = _normalize(embedding_matrix(t.column("embedding")))
+    m = l2_normalize(embedding_matrix(t.column("embedding")))
     sims = q @ m.T  # (n_queries, batch)
     kk = min(k, sims.shape[1])
     out_q, out_i, out_s = [], [], []
@@ -115,7 +118,7 @@ def knn_brute_multi(
 
     Returns (query_idx, vec_id, cosine) with k rows per query, ranked
     (cosine desc, vec_id asc)."""
-    q = _normalize(np.asarray(query_mat, np.float64))
+    q = l2_normalize(np.asarray(query_mat, np.float64))
     qref = ray.put(q)
     cands = emb.map_batches(
         functools.partial(_score_multi_batch, qref=qref, k=k),
@@ -138,10 +141,7 @@ def knn_brute_multi(
 
 def bucket_of(vec: np.ndarray, n_planes: int = 4) -> int:
     """Deterministic LSH sign-bucket: sign bits vs md5-seeded hyperplanes."""
-    dim = vec.shape[-1]
-    planes = _planes_for(n_planes, dim)
-    bits = (planes @ vec > 0).astype(int)
-    return int((bits * (1 << np.arange(n_planes))).sum())
+    return int(sign_buckets(vec, n_planes))
 
 
 def _plane(i: int, dim: int) -> np.ndarray:
@@ -164,15 +164,31 @@ def _planes_for(n_planes: int, dim: int) -> np.ndarray:
     return _PLANES_MEMO[key]
 
 
+def sign_buckets(m: np.ndarray, n_planes: int) -> np.ndarray:
+    """Sign-plane LSH bucket id of each row of ``m`` (a scalar for one
+    vector): bit i is set when the row lies on the positive side of plane
+    i. The rows are hashed as given — callers that bucket normalized
+    vectors normalize first, so each keeps its exact historical bits."""
+    planes = _planes_for(n_planes, m.shape[-1])
+    return (m @ planes.T > 0).astype(np.int64) @ (1 << np.arange(n_planes))
+
+
+def nearest_lists(m: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Trained-IVF list of each normalized row: its nearest centroid."""
+    return np.argmax(m @ C.T, axis=1).astype(np.int64)
+
+
+def probe_order(C: np.ndarray, q: np.ndarray, n_probe: int) -> np.ndarray:
+    """The ``n_probe`` lists nearest the normalized query, nearest first
+    (stable ties, so the probe set is deterministic)."""
+    return np.argsort(-(C @ q), kind="stable")[:n_probe]
+
+
 def _score_ivf_batch(t: pa.Table, qref=None, k: int = 10, n_planes: int = 4) -> pa.Table:
     q, probe = ray.get(qref)
-    planes = _planes_for(n_planes, q.shape[0])
-    pows = 1 << np.arange(n_planes)
     ids = int64_array(t.column("vec_id"))
-    m = _normalize(embedding_matrix(t.column("embedding")))
-    bits = (m @ planes.T > 0).astype(int)
-    buckets = bits @ pows
-    mask = np.isin(buckets, list(probe))
+    m = l2_normalize(embedding_matrix(t.column("embedding")))
+    mask = np.isin(sign_buckets(m, n_planes), list(probe))
     ids, m = ids[mask], m[mask]
     if ids.size == 0:
         return pa.table({"vec_id": pa.array([], pa.int64()), "cosine": pa.array([], pa.float64())})
@@ -209,7 +225,7 @@ def knn_ivf(
     knobs as the persisted sidecar, search/index.query_vector_index).
     Approximate — the recall/speed trade is the point; brute force is the
     correctness baseline, and ``ann_recall_curve`` measures the trade."""
-    q = _normalize(np.asarray(query_vec, np.float64))
+    q = l2_normalize(np.asarray(query_vec, np.float64))
     probe = probe_buckets(bucket_of(q, n_planes), n_planes, probe_hamming)
     qref = ray.put((q, probe))
     cands = emb.map_batches(
@@ -254,7 +270,7 @@ def _sample_matrix(
     if not parts:
         raise ValueError(f"empty sample cannot seed {need} codewords")
     samp = pa.concat_tables(parts).sort_by(id_col)
-    X = _normalize(embedding_matrix(samp.column(emb_col)))
+    X = l2_normalize(embedding_matrix(samp.column(emb_col)))
     if len(X) < need:
         raise ValueError(f"sample of {len(X)} rows cannot seed {need} codewords")
     return X
@@ -284,12 +300,12 @@ def train_ivf_centroids(
         raise ValueError(f"sample of {len(X)} rows cannot seed {n_lists} codewords")
     C = X[:n_lists].copy()
     for _ in range(iters):
-        a = np.argmax(X @ C.T, axis=1)
+        a = nearest_lists(X, C)
         for j in range(n_lists):
             pts = X[a == j]
             if len(pts):
                 C[j] = pts.mean(0)
-        C = _normalize(C)
+        C = l2_normalize(C)
     return C
 
 
@@ -368,9 +384,8 @@ def pq_adc_scores(codes: np.ndarray, lut: np.ndarray) -> np.ndarray:
 def _score_ivf_trained_batch(t: pa.Table, ref=None, k: int = 10) -> pa.Table:
     q, C, probe = ray.get(ref)
     ids = int64_array(t.column("vec_id"))
-    m = _normalize(embedding_matrix(t.column("embedding")))
-    assign = np.argmax(m @ C.T, axis=1)
-    mask = np.isin(assign, probe)
+    m = l2_normalize(embedding_matrix(t.column("embedding")))
+    mask = np.isin(nearest_lists(m, C), probe)
     ids, m = ids[mask], m[mask]
     if ids.size == 0:
         return pa.table({"vec_id": pa.array([], pa.int64()), "cosine": pa.array([], pa.float64())})
@@ -403,10 +418,9 @@ def knn_ivf_trained(
     bytes-read fractions in BASELINE.md). Centroids come from
     ``train_ivf_centroids``; data-adaptive lists beat the data-oblivious
     sign-plane buckets on recall at equal scan (``ivf_recall_curve``)."""
-    q = _normalize(np.asarray(query_vec, np.float64))
-    C = _normalize(np.asarray(centroids, np.float64))
-    probe = np.argsort(-(C @ q), kind="stable")[:n_probe]
-    ref = ray.put((q, C, probe))
+    q = l2_normalize(np.asarray(query_vec, np.float64))
+    C = l2_normalize(np.asarray(centroids, np.float64))
+    ref = ray.put((q, C, probe_order(C, q, n_probe)))
     cands = emb.map_batches(
         functools.partial(_score_ivf_trained_batch, ref=ref, k=k),
         batch_format="pyarrow", batch_size=4096,
@@ -423,7 +437,7 @@ def ivf_recall_curve(
     """Measured recall-vs-scan trade for the TRAINED IVF knobs
     (n_lists, n_probe), mirroring ``ann_recall_curve``. One training +
     one occupancy histogram per n_lists; exact scan fractions."""
-    qs = _normalize(np.asarray(query_vecs, np.float64))
+    qs = l2_normalize(np.asarray(query_vecs, np.float64))
     brute = [set(_merge_topk(emb.map_batches(
         functools.partial(_score_batch, qref=ray.put(q), k=k),
         batch_format="pyarrow", batch_size=4096,
@@ -436,9 +450,8 @@ def ivf_recall_curve(
 
         def hist(t: pa.Table) -> pa.Table:
             C_ = ray.get(cref)
-            m = _normalize(embedding_matrix(t.column("embedding")))
-            a = np.argmax(m @ C_.T, axis=1)
-            b, c = np.unique(a, return_counts=True)
+            m = l2_normalize(embedding_matrix(t.column("embedding")))
+            b, c = np.unique(nearest_lists(m, C_), return_counts=True)
             return pa.table({"list_id": pa.array(b, pa.int64()), "n": pa.array(c, pa.int64())})
 
         h = emb.map_batches(hist, batch_format="pyarrow").to_pandas()
@@ -449,7 +462,7 @@ def ivf_recall_curve(
                 continue
             hits = scanned = 0
             for qi, q in enumerate(qs):
-                probe = np.argsort(-(C @ q), kind="stable")[:n_probe]
+                probe = probe_order(C, q, n_probe)
                 scanned += sum(occ.get(int(b), 0) for b in probe)
                 got = set(knn_ivf_trained(emb, q, C, k=k, n_probe=n_probe)["vec_id"])
                 hits += len(got & brute[qi])
@@ -477,17 +490,15 @@ def ann_recall_curve(
     occupancy / corpus size, from one streaming histogram pass per
     n_planes). Rows: (n_planes, probe_hamming, scan_frac, recall,
     scan_reduction)."""
-    qs = _normalize(np.asarray(query_vecs, np.float64))
+    qs = l2_normalize(np.asarray(query_vecs, np.float64))
     brute = [set(_merge_topk(emb.map_batches(
         functools.partial(_score_batch, qref=ray.put(q), k=k),
         batch_format="pyarrow", batch_size=4096,
     ), k)["vec_id"]) for q in qs]
 
     def hist(t: pa.Table, n_planes: int = 4) -> pa.Table:
-        m = _normalize(embedding_matrix(t.column("embedding")))
-        planes = _planes_for(n_planes, m.shape[1])
-        buckets = (m @ planes.T > 0).astype(int) @ (1 << np.arange(n_planes))
-        b, c = np.unique(buckets, return_counts=True)
+        m = l2_normalize(embedding_matrix(t.column("embedding")))
+        b, c = np.unique(sign_buckets(m, n_planes), return_counts=True)
         return pa.table({"bucket": pa.array(b, pa.int64()), "n": pa.array(c, pa.int64())})
 
     occupancy: dict[int, dict[int, int]] = {}

@@ -37,6 +37,11 @@ def embedding_matrix(col, dtype=np.float64) -> np.ndarray:
     return np.stack([np.asarray(v, dtype) for v in col.to_pylist()])
 
 
+def l2_normalize(m: np.ndarray) -> np.ndarray:
+    """Unit-length rows (or one unit vector); zero rows stay zero."""
+    return m / np.maximum(np.linalg.norm(m, axis=-1, keepdims=True), 1e-12)
+
+
 def int64_array(col) -> np.ndarray:
     """Arrow integer column → int64 numpy array (no Python list hop)."""
     if isinstance(col, pa.ChunkedArray):

@@ -31,9 +31,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-
-def _l2(mat: np.ndarray) -> np.ndarray:
-    return mat / np.maximum(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12)
+from .functions.vectors import l2_normalize
 
 
 class SentenceTransformerEmbedder:
@@ -83,7 +81,7 @@ class SentenceTransformerEmbedder:
         if mat.shape[1] != self.dim:
             raise ValueError(f"model returned dim {mat.shape[1]}, stage bound to {self.dim}")
         if self.normalize:
-            mat = _l2(mat).astype(np.float32)
+            mat = l2_normalize(mat).astype(np.float32)
         arr = pa.FixedSizeListArray.from_arrays(pa.array(mat.ravel(), pa.float32()), self.dim)
         return batch.append_column(self.out_col, arr)
 
@@ -183,7 +181,7 @@ class OpenAICompatEmbedder:
         if mat.size and self._dim and mat.shape[1] != self._dim:
             raise ValueError(f"endpoint returned dim {mat.shape[1]}, stage bound to {self._dim}")
         if self.normalize and mat.size:
-            mat = _l2(mat).astype(np.float32)
+            mat = l2_normalize(mat).astype(np.float32)
         arr = pa.FixedSizeListArray.from_arrays(
             pa.array(mat.ravel(), pa.float32()), self._dim or 1
         )

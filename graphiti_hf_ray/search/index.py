@@ -3,10 +3,10 @@ reference FAISS shard persistence, graphiti_hf/search/vector_search.py:
 326-389 save/load of per-table indices).
 
 Ray-Data-native index = partitioned Parquet, not a FAISS binary. Three
-layouts share the same build/query machinery:
+layouts share one write path and the same query machinery:
 
 - **sign-plane** (data-oblivious): vectors hash to deterministic LSH sign
-  buckets (same planes as ``functions.knn``), one directory per bucket.
+  buckets (``functions.knn.sign_buckets``), one directory per bucket.
 - **trained IVF** (data-adaptive — the 100-TB recommendation): vectors are
   assigned ONCE at build time to their nearest trained centroid
   (``functions.knn.train_ivf_centroids``), one directory per list;
@@ -38,23 +38,30 @@ Layout::
       list=0007/epoch=ab12cd34ef56/part=0000/...   # incremental adds
       ...
 
-Incremental adds (``append_to_ivf_index`` / ``append_to_vector_index``,
-the FAISS ``index.add`` contract): new rows are assigned with the
-PERSISTED centroids/planes and written as an epoch subdir per partition —
-no collision with base parts, no rebuild, query path unchanged (it walks
-probed partitions recursively). A full rebuild sweeps every epoch.
-
-Build shape: one cheap occupancy histogram pass sizes per-partition part
-counts (``ceil(rows / rows_per_part)`` — skew-exact, a hot partition gets
-more parts), then ONE bucketed shuffle on the (partition, salt) key whose
+One write path: a ``build_*`` function only trains or validates its
+quantizers and fills the manifest fields; ``_write_index`` does the rest
+for every layout. ``_layout`` derives the row encoder from the manifest
+itself, so a build and every later append assign and encode rows
+identically. Each row is assigned once and the keyed rows materialized;
+one cheap occupancy histogram over them sizes per-partition part counts
+(``ceil(rows / rows_per_part)`` — skew-exact, a hot partition gets more
+parts), then ONE bucketed shuffle on the (partition, salt) key whose
 groups are part-sized — never a whole partition in one task (a 4-plane
 index has only 16 buckets; at 100 TB one bucket per task is a guaranteed
 OOM). Each part is written atomically (io.write_shard_atomic) so a killed
-build resumes per part.
+build resumes per part; stale parts are swept, row and byte counts are
+rescanned from disk, and the manifest is committed atomically.
+
+Incremental adds (``append_to_index``, the FAISS ``index.add`` contract):
+new rows are assigned with the PERSISTED centroids/planes/codebooks and
+written as an epoch subdir per partition — no collision with base parts,
+no rebuild, query path unchanged (it walks probed partitions
+recursively). A full rebuild sweeps every epoch.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -66,21 +73,14 @@ import pyarrow as pa
 
 import ray
 
-from ..functions.vectors import embedding_matrix
-
 from .. import io as gio
-from ..functions.knn import _plane
+from ..functions.knn import (
+    bucket_of, nearest_lists, pq_encode, probe_buckets, probe_order, sign_buckets,
+)
+from ..functions.vectors import embedding_matrix, l2_normalize
 
 INDEX_MANIFEST = "_index_manifest.json"
 DEFAULT_ROWS_PER_PART = 262_144
-
-
-def _planes(n_planes: int, dim: int) -> np.ndarray:
-    return np.stack([_plane(i, dim) for i in range(n_planes)])
-
-
-def _norm(m: np.ndarray) -> np.ndarray:
-    return m / np.maximum(np.linalg.norm(m, axis=-1, keepdims=True), 1e-12)
 
 
 def _salt_of(ids: np.ndarray, n_salts: np.ndarray) -> np.ndarray:
@@ -115,116 +115,153 @@ def _partition_parquet_files(index_dir: str, dirnames: list[str]) -> list[str]:
     return paths
 
 
-def _sweep_stale_parts(index_dir: str, prefix: str, expected: set[tuple[int, int]], fingerprint: str) -> None:
-    """Remove partition/part dirs a previous build (different fingerprint,
-    plane count, salt sizing) left behind — the query path globs every part
-    in a probed partition, so stale parts would silently double rows. A
-    FULL build owns the whole directory: append epochs
-    (``epoch=<tag>`` subdirs, see ``_append_to_index``) from any earlier
-    generation are removed too."""
+def _part_is_current(part_dir: str, fingerprint: str) -> bool:
+    man_p = os.path.join(part_dir, gio.MANIFEST)
+    if not os.path.exists(man_p):
+        return False
+    with open(man_p) as f:
+        return json.load(f).get("fingerprint", "").startswith(fingerprint + ":")
+
+
+def _sweep_stale_parts(
+    index_dir: str, prefix: str, expected: set[tuple[int, int]], fingerprint: str, epoch: str | None
+) -> None:
+    """Remove what a previous write (different fingerprint or salt sizing,
+    or a crashed attempt) left behind — the query path globs every part in
+    a probed partition, so stale parts would silently double rows.
+
+    A FULL build (``epoch=None``) owns each whole partition dir: append
+    epochs from any earlier generation, ``.tmp-`` writers and legacy
+    flat-layout remains (part-N.parquet files and the bucket-level
+    _manifest.json of the pre-sub-shard build) all go. An append owns only
+    its own ``epoch=<tag>`` subdir; base parts and other epochs stay."""
     for d in sorted(os.listdir(index_dir)):
         if not d.startswith(prefix + "="):
             continue
+        pid = int(d.split("=", 1)[1])
+        root = os.path.join(index_dir, d, *([] if epoch is None else [f"epoch={epoch}"]))
+        if not os.path.isdir(root):
+            continue
+        for sub in sorted(os.listdir(root)):
+            p = os.path.join(root, sub)
+            if (
+                sub.startswith("part=")
+                and (pid, int(sub.split("=", 1)[1])) in expected
+                and _part_is_current(p, fingerprint)
+            ):
+                continue
+            if os.path.isdir(p):
+                shutil.rmtree(p, ignore_errors=True)
+            else:
+                try:
+                    os.remove(p)
+                except OSError:
+                    pass
+        if not os.listdir(root):
+            os.rmdir(root)
+
+
+def _scan_partition_stats(index_dir: str, prefix: str) -> tuple[dict[int, int], dict[int, int]]:
+    """(rows, bytes) per partition, rescanned from the part-shard manifests
+    and file sizes on disk — the idempotent ground truth after appends or
+    resumed/crashed builds (driver-held counts can be stale)."""
+    rows: dict[int, int] = {}
+    bts: dict[int, int] = {}
+    for d in sorted(os.listdir(index_dir)):
+        if not d.startswith(prefix + "="):
+            continue
+        pid = int(d.split("=", 1)[1])
         pdir = os.path.join(index_dir, d)
-        pid = int(d.split("=", 1)[1])
-        for sub in sorted(os.listdir(pdir)):
-            if sub.startswith(".tmp-") or sub.startswith("epoch="):
-                shutil.rmtree(os.path.join(pdir, sub), ignore_errors=True)
-                continue
-            if not sub.startswith("part="):
-                # legacy flat-layout remains (part-N.parquet files and the
-                # bucket-level _manifest.json of the pre-sub-shard build):
-                # the recursive query glob would read them ALONGSIDE the
-                # new parts and double rows — a full build owns this dir
-                p = os.path.join(pdir, sub)
-                if os.path.isdir(p):
-                    shutil.rmtree(p, ignore_errors=True)
-                else:
-                    try:
-                        os.remove(p)
-                    except OSError:
-                        pass
-                continue
-            sid = int(sub.split("=", 1)[1])
-            keep = (pid, sid) in expected
-            if keep:
-                man_p = os.path.join(pdir, sub, gio.MANIFEST)
-                keep = os.path.exists(man_p)
-                if keep:
-                    with open(man_p) as f:
-                        keep = json.load(f).get("fingerprint", "").startswith(fingerprint + ":")
-            if not keep:
-                shutil.rmtree(os.path.join(pdir, sub), ignore_errors=True)
-        if not os.listdir(pdir):
-            os.rmdir(pdir)
+        r = b = 0
+        for dirpath, dn, filenames in os.walk(pdir):
+            gio._prune_tmp(dn)
+            for fn in filenames:
+                if fn == gio.MANIFEST:
+                    with open(os.path.join(dirpath, fn)) as f:
+                        r += int(json.load(f).get("rows", 0))
+                elif fn.endswith(".parquet"):
+                    b += os.path.getsize(os.path.join(dirpath, fn))
+        if r or b:
+            rows[pid], bts[pid] = r, b
+    return rows, bts
 
 
-def _sweep_stale_epoch_parts(index_dir: str, prefix: str, epoch: str, expected: set[tuple[int, int]], fingerprint: str) -> None:
-    """Epoch-scoped sweep for appends: clean only inside this epoch's
-    subdirs (a crashed earlier attempt of the SAME append), leaving the
-    base parts and other epochs untouched."""
-    for d in sorted(os.listdir(index_dir)):
-        if not d.startswith(prefix + "="):
-            continue
-        pid = int(d.split("=", 1)[1])
-        edir = os.path.join(index_dir, d, f"epoch={epoch}")
-        if not os.path.isdir(edir):
-            continue
-        for sub in sorted(os.listdir(edir)):
-            if sub.startswith(".tmp-"):
-                shutil.rmtree(os.path.join(edir, sub), ignore_errors=True)
-                continue
-            if not sub.startswith("part="):
-                continue
-            sid = int(sub.split("=", 1)[1])
-            keep = (pid, sid) in expected
-            if keep:
-                man_p = os.path.join(edir, sub, gio.MANIFEST)
-                keep = os.path.exists(man_p)
-                if keep:
-                    with open(man_p) as f:
-                        keep = json.load(f).get("fingerprint", "").startswith(fingerprint + ":")
-            if not keep:
-                shutil.rmtree(os.path.join(edir, sub), ignore_errors=True)
-        if not os.listdir(edir):
-            os.rmdir(edir)
+def _layout(man: dict):
+    """``(partition prefix, payload column, encode)`` for the manifest's
+    kind, where ``encode(batch) -> (payload array, partition ids)``. Built
+    from the persisted manifest only, so a build and every later append
+    assign and encode rows identically. The quantizer arrays travel as one
+    object-store ref, not inside the pickled closure."""
+    kind, emb_col = man.get("kind"), man["emb_col"]
+    if kind == "sign_plane":
+        n_planes = man["n_planes"]
+
+        def encode(t: pa.Table):
+            col = t.column(emb_col)
+            return col, sign_buckets(l2_normalize(embedding_matrix(col)), n_planes)
+
+        return "bucket", emb_col, encode
+    if kind not in ("ivf_trained", "ivf_pq"):
+        raise ValueError(f"unknown index kind {kind!r}")
+    C = np.asarray(man["centroids"], np.float64)
+    if kind == "ivf_trained":
+        cref = ray.put(C)
+
+        def encode(t: pa.Table):
+            col = t.column(emb_col)
+            return col, nearest_lists(l2_normalize(embedding_matrix(col)), ray.get(cref))
+
+        return "list", emb_col, encode
+    qref = ray.put((C, np.asarray(man["codebooks"], np.float64)))
+    m = int(man["m"])
+
+    def encode(t: pa.Table):
+        C_, B_ = ray.get(qref)
+        X = l2_normalize(embedding_matrix(t.column(emb_col)))
+        codes = pa.FixedSizeListArray.from_arrays(pa.array(pq_encode(X, B_).reshape(-1), pa.uint8()), m)
+        return codes, nearest_lists(X, C_)
+
+    return "list", man["code_col"], encode
 
 
-def _write_partitioned(
+def _write_index(
     ds: "ray.data.Dataset",
     index_dir: str,
-    prefix: str,
-    assign_fn,
-    id_col: str,
-    emb_col: str,
+    man: dict,
     fingerprint: str,
     rows_per_part: int,
     epoch: str | None = None,
-) -> dict[int, int]:
-    """Shared build body for both layouts: histogram pass → per-partition
-    part counts → ONE (partition, salt) bucketed shuffle → atomic part-dir
-    writes inside the group task (rows never return to the driver).
-    Returns {partition: rows}.
+) -> dict:
+    """The one sidecar write path: assign each row once → histogram →
+    (partition, salt) shuffle with atomic part-dir writes inside the group
+    task (rows never return to the driver) → stale-part sweep → rescan →
+    atomic manifest commit. Returns the committed manifest.
 
     ``epoch`` (append mode): parts land under
     ``{prefix}=NNNN/epoch=<epoch>/part=MMMM`` — a namespace the base
-    build's part ids can never collide with — and the stale-part sweep is
-    scoped to that epoch, so existing data is never touched. The query
-    path needs no change: it walks the partition dir recursively."""
+    build's part ids can never collide with — and the sweep is scoped to
+    that epoch, so existing data is never touched."""
+    if not fingerprint:
+        # part resume keys on the fingerprint: reusing one (e.g. the empty
+        # default) over changed input would keep serving the old parts
+        raise ValueError("index writes require a non-empty fingerprint naming the input")
+    prefix, payload_col, encode = _layout(man)
+    id_col = man["id_col"]
 
-    # the build makes TWO passes over the input (occupancy histogram, then
-    # the keyed write) — materialize once so the second pass replays
-    # object-store blocks instead of re-reading storage / re-running the
-    # upstream lineage (the input is the narrow (id, embedding) projection,
-    # and the store spills if it exceeds memory)
-    ds = ds.materialize()
+    def assign(t: pa.Table) -> pa.Table:
+        payload, part = encode(t)
+        out = pa.table({id_col: t.column(id_col), payload_col: payload, "_p": pa.array(part, pa.int32())})
+        return out.replace_schema_metadata(None)
+
+    # materialized once: the histogram and the keyed write both replay
+    # these blocks instead of re-reading storage or re-assigning rows
+    keyed = ds.map_batches(assign, batch_format="pyarrow").materialize()
 
     def hist(t: pa.Table) -> pa.Table:
-        part = assign_fn(t)
-        b, c = np.unique(part, return_counts=True)
+        b, c = np.unique(t.column("_p").to_numpy(), return_counts=True)
         return pa.table({"p": pa.array(b, pa.int64()), "n": pa.array(c, pa.int64())})
 
-    h = ds.map_batches(hist, batch_format="pyarrow").to_pandas()
+    h = keyed.map_batches(hist, batch_format="pyarrow").to_pandas()
     # ≤ n_partitions rows; an empty input loses even the column names
     occ = {} if h.empty else h.groupby("p")["n"].sum().to_dict()
     salts = {int(p): max(1, math.ceil(n / rows_per_part)) for p, n in occ.items()}
@@ -235,23 +272,13 @@ def _write_partitioned(
     for p, n in salts.items():
         lut[p] = n
 
-    def add_keys(t: pa.Table) -> pa.Table:
-        part = assign_fn(t)
+    def add_key(t: pa.Table) -> pa.Table:
+        part = t.column("_p").to_numpy().astype(np.int64)
         ids = t.column(id_col).combine_chunks().to_numpy(zero_copy_only=False)
-        ns = lut[np.minimum(part, len(lut) - 1)]
-        salt = _salt_of(ids, ns)
-        out = pa.table(
-            {
-                id_col: t.column(id_col),
-                emb_col: t.column(emb_col),
-                "_p": pa.array(part, pa.int32()),
-                "_pkey": pa.array(part * (max_salts + 1) + salt, pa.int64()),
-            }
-        )
-        return out.replace_schema_metadata(None)
+        salt = _salt_of(ids, lut[np.minimum(part, len(lut) - 1)])
+        return t.append_column("_pkey", pa.array(part * (max_salts + 1) + salt, pa.int64()))
 
     os.makedirs(index_dir, exist_ok=True)
-
     sub = "" if epoch is None else f"epoch={epoch}"
 
     def write_part(g: pd.DataFrame) -> pd.DataFrame:
@@ -260,27 +287,28 @@ def _write_partitioned(
         t = pa.Table.from_pandas(
             g.drop(columns=["_p", "_pkey"]).sort_values(id_col), preserve_index=False
         )
-        man = gio.write_shard_atomic(
+        gio.write_shard_atomic(
             t,
             os.path.join(index_dir, f"{prefix}={p:04d}", sub, f"part={s:04d}"),
             fingerprint + f":{prefix}{p}:s{s}/{salts[p]}",
         )
-        return pd.DataFrame({"p": [p], "rows": [man["rows"]]})
+        return pd.DataFrame({"p": [p]})
 
-    stats = (
-        ds.map_batches(add_keys, batch_format="pyarrow")
+    (
+        keyed.map_batches(add_key, batch_format="pyarrow")
         .groupby("_pkey")
         .map_groups(write_part, batch_format="pandas")
-        .to_pandas()
+        .materialize()
     )
     expected = {(p, s) for p, ns in salts.items() for s in range(ns)}
-    if epoch is None:
-        _sweep_stale_parts(index_dir, prefix, expected, fingerprint)
-    else:
-        _sweep_stale_epoch_parts(index_dir, prefix, epoch, expected, fingerprint)
-    if stats.empty:  # empty input: nothing written (an empty append is a no-op)
-        return {}
-    return stats.groupby("p")["rows"].sum().to_dict()
+    _sweep_stale_parts(index_dir, prefix, expected, fingerprint, epoch)
+    rows, bts = _scan_partition_stats(index_dir, prefix)
+    man.update({prefix + "s": rows, "bytes": bts, "rows": int(sum(rows.values()))})
+    tmp = os.path.join(index_dir, INDEX_MANIFEST + ".tmp-rw")
+    with open(tmp, "w") as f:
+        json.dump(man, f)
+    os.replace(tmp, os.path.join(index_dir, INDEX_MANIFEST))
+    return man
 
 
 def build_vector_index(
@@ -295,38 +323,21 @@ def build_vector_index(
     """Build (or resume) the sign-plane bucket-partitioned sidecar for one
     embedding column. Parts are (bucket, salt) sub-shards capped near
     ``rows_per_part`` rows so no single task or file ever carries a whole
-    bucket (2^n_planes buckets × 100 TB ÷ 16 was the old funnel)."""
+    bucket (2^n_planes buckets × 100 TB ÷ 16 was the old funnel).
+    ``fingerprint`` must name the input: a rebuild under the same one
+    resumes the existing parts."""
     probe = ds.take(1)
     if not probe:
         raise ValueError("empty dataset")
-    dim = _probe_dim(probe[0][emb_col])
-    planes = _planes(n_planes, dim)
-    pref = ray.put(planes)
-
-    def assign(t: pa.Table) -> np.ndarray:
-        pl = ray.get(pref)
-        m = _norm(embedding_matrix(t.column(emb_col)))
-        bits = (m @ pl.T > 0).astype(np.int64)
-        return bits @ (1 << np.arange(pl.shape[0]))
-
-    rows_by_bucket = _write_partitioned(
-        ds, index_dir, "bucket", assign, id_col, emb_col, fingerprint, rows_per_part
-    )
-    manifest = {
+    man = {
         "kind": "sign_plane",
         "n_planes": n_planes,
-        "dim": dim,
+        "dim": _probe_dim(probe[0][emb_col]),
         "emb_col": emb_col,
         "id_col": id_col,
         "fingerprint": fingerprint,
-        "buckets": {int(b): int(r) for b, r in rows_by_bucket.items()},
-        "rows": int(sum(rows_by_bucket.values())),
     }
-    tmp = os.path.join(index_dir, INDEX_MANIFEST + ".tmp-rw")
-    with open(tmp, "w") as f:
-        json.dump(manifest, f)
-    os.replace(tmp, os.path.join(index_dir, INDEX_MANIFEST))
-    return manifest
+    return _write_index(ds, index_dir, man, fingerprint, rows_per_part)
 
 
 def build_ivf_index(
@@ -347,48 +358,23 @@ def build_ivf_index(
     326-389) with Parquet partitions instead of a binary index. The
     streaming ``functions.knn.knn_ivf_trained`` remains the index-free
     fallback; results are identical given the same centroids
-    (parity-tested)."""
+    (parity-tested). Per-list bytes let scan fractions be reported as
+    bytes actually read, not a row mask."""
     from ..functions.knn import train_ivf_centroids
 
     if centroids is None:
         centroids = train_ivf_centroids(ds, n_lists=n_lists, id_col=id_col, emb_col=emb_col)
-    C = _norm(np.asarray(centroids, np.float64))
-    n_lists = C.shape[0]
-    cref = ray.put(C)
-
-    def assign(t: pa.Table) -> np.ndarray:
-        C_ = ray.get(cref)
-        m = _norm(embedding_matrix(t.column(emb_col)))
-        return np.argmax(m @ C_.T, axis=1).astype(np.int64)
-
-    rows_by_list = _write_partitioned(
-        ds, index_dir, "list", assign, id_col, emb_col, fingerprint, rows_per_part
-    )
-    # per-list bytes (from the written part files) so scan fractions can be
-    # reported as bytes actually read, not a row mask
-    bytes_by_list: dict[int, int] = {}
-    for lid in rows_by_list:
-        total = 0
-        for p in _partition_parquet_files(index_dir, [f"list={int(lid):04d}"]):
-            total += os.path.getsize(p)
-        bytes_by_list[int(lid)] = total
-    manifest = {
+    C = l2_normalize(np.asarray(centroids, np.float64))
+    man = {
         "kind": "ivf_trained",
-        "n_lists": int(n_lists),
+        "n_lists": int(C.shape[0]),
         "dim": int(C.shape[1]),
         "emb_col": emb_col,
         "id_col": id_col,
         "fingerprint": fingerprint,
         "centroids": C.tolist(),  # float64 — json round-trips exactly
-        "lists": {int(b): int(r) for b, r in rows_by_list.items()},
-        "bytes": bytes_by_list,
-        "rows": int(sum(rows_by_list.values())),
     }
-    tmp = os.path.join(index_dir, INDEX_MANIFEST + ".tmp-rw")
-    with open(tmp, "w") as f:
-        json.dump(manifest, f)
-    os.replace(tmp, os.path.join(index_dir, INDEX_MANIFEST))
-    return manifest
+    return _write_index(ds, index_dir, man, fingerprint, rows_per_part)
 
 
 def build_ivfpq_index(
@@ -420,9 +406,7 @@ def build_ivfpq_index(
     index save/query surface (graphiti_hf/search/vector_search.py:229-285,
     326-389) — same persistence semantics, quantized storage instead of a
     flat binary index."""
-    from ..functions.knn import (
-        _sample_matrix, pq_encode, train_ivf_centroids, train_pq_codebooks,
-    )
+    from ..functions.knn import _sample_matrix, train_ivf_centroids, train_pq_codebooks
 
     # uint8 codes cap nbits at 8 regardless of where the codebooks come
     # from (caller-supplied books skip train_pq_codebooks' own guard)
@@ -437,8 +421,7 @@ def build_ivfpq_index(
         centroids = train_ivf_centroids(
             ds, n_lists=n_lists, id_col=id_col, emb_col=emb_col, sample=sample
         )
-    C = _norm(np.asarray(centroids, np.float64))
-    n_lists = C.shape[0]
+    C = l2_normalize(np.asarray(centroids, np.float64))
     if codebooks is None:
         codebooks = train_pq_codebooks(
             ds, m=m, nbits=nbits, id_col=id_col, emb_col=emb_col, sample=sample
@@ -451,36 +434,9 @@ def build_ivfpq_index(
         # caller-supplied codebooks must agree with nbits: ncode > 256 would
         # silently wrap in the uint8 code column, a mismatch records a lie
         raise ValueError(f"codebooks have {ncode} codewords != 2**nbits ({1 << nbits})")
-    cref, bref = ray.put(C), ray.put(B)
-
-    def encode(t: pa.Table) -> pa.Table:
-        C_, B_ = ray.get(cref), ray.get(bref)
-        X = _norm(embedding_matrix(t.column(emb_col)))
-        lists = np.argmax(X @ C_.T, axis=1).astype(np.int64)
-        codes = pq_encode(X, B_)
-        code_col = pa.FixedSizeListArray.from_arrays(
-            pa.array(codes.reshape(-1), pa.uint8()), m
-        )
-        return pa.table(
-            {
-                id_col: t.column(id_col),
-                "pq_code": code_col,
-                "_list": pa.array(lists, pa.int64()),
-            }
-        )
-
-    enc = ds.map_batches(encode, batch_format="pyarrow")
-
-    def assign(t: pa.Table) -> np.ndarray:
-        return t.column("_list").combine_chunks().to_numpy(zero_copy_only=False)
-
-    rows_by_list = _write_partitioned(
-        enc, index_dir, "list", assign, id_col, "pq_code", fingerprint, rows_per_part
-    )
-    _, bytes_by_list = _scan_partition_stats(index_dir, "list")
-    manifest = {
+    man = {
         "kind": "ivf_pq",
-        "n_lists": int(n_lists),
+        "n_lists": int(C.shape[0]),
         "dim": int(C.shape[1]),
         "m": m,
         "nbits": int(nbits),
@@ -490,235 +446,49 @@ def build_ivfpq_index(
         "fingerprint": fingerprint,
         "centroids": C.tolist(),  # float64 — json round-trips exactly
         "codebooks": B.tolist(),
-        "lists": {int(b): int(r) for b, r in rows_by_list.items()},
-        "bytes": {int(b): int(v) for b, v in bytes_by_list.items()},
-        "rows": int(sum(rows_by_list.values())),
     }
-    tmp = os.path.join(index_dir, INDEX_MANIFEST + ".tmp-rw")
-    with open(tmp, "w") as f:
-        json.dump(manifest, f)
-    os.replace(tmp, os.path.join(index_dir, INDEX_MANIFEST))
-    return manifest
-
-
-def _scan_partition_stats(index_dir: str, prefix: str) -> tuple[dict[int, int], dict[int, int]]:
-    """(rows, bytes) per partition, rescanned from the part-shard manifests
-    and file sizes on disk — the idempotent ground truth after appends or
-    resumed/crashed builds (driver-held counts can be stale)."""
-    rows: dict[int, int] = {}
-    bts: dict[int, int] = {}
-    for d in sorted(os.listdir(index_dir)):
-        if not d.startswith(prefix + "="):
-            continue
-        pid = int(d.split("=", 1)[1])
-        pdir = os.path.join(index_dir, d)
-        r = b = 0
-        for dirpath, dn, filenames in os.walk(pdir):
-            gio._prune_tmp(dn)
-            for fn in filenames:
-                if fn == gio.MANIFEST:
-                    with open(os.path.join(dirpath, fn)) as f:
-                        r += int(json.load(f).get("rows", 0))
-                elif fn.endswith(".parquet"):
-                    b += os.path.getsize(os.path.join(dirpath, fn))
-        if r or b:
-            rows[pid], bts[pid] = r, b
-    return rows, bts
+    return _write_index(ds, index_dir, man, fingerprint, rows_per_part)
 
 
 def _epoch_tag(fingerprint: str) -> str:
-    import hashlib
-
     return hashlib.md5(fingerprint.encode()).hexdigest()[:12]
 
 
-def append_to_ivf_index(
+def append_to_index(
     ds: "ray.data.Dataset",
     index_dir: str,
     fingerprint: str,
     rows_per_part: int = DEFAULT_ROWS_PER_PART,
 ) -> dict:
-    """Incrementally add vectors to an EXISTING trained-IVF sidecar — the
+    """Incrementally add vectors to an EXISTING sidecar of any layout — the
     reference's FAISS ``index.add`` contract (graphiti_hf/search/
     vector_search.py:229-285) without rebuilding or retraining: new rows
-    are assigned to the PERSISTED centroids and written as a new append
-    epoch (``list=NNNN/epoch=<tag>/part=MMMM``) that can never collide
-    with the base parts or other epochs; the query path picks the new
-    parts up with no change (it walks each probed list recursively).
+    are assigned (and, for IVF-PQ, encoded) with the PERSISTED planes,
+    centroids and codebooks, so they land exactly where a one-shot build
+    would put them, and are written as a new append epoch
+    (``list=NNNN/epoch=<tag>/part=MMMM``) that can never collide with the
+    base parts or other epochs; the query path picks the new parts up with
+    no change (it walks each probed partition recursively).
 
     ``fingerprint`` must uniquely name this batch of additions — re-running
     the same append is a resume (finished parts skip via their shard
     manifests), not a duplication; a DIFFERENT batch needs a different
     fingerprint. Row/byte counts in the index manifest are rescanned from
     disk, so the recorded totals are exact even after crashes. The
-    centroids stay fixed — after appending many times the data drifts from
-    the trained quantization, so periodically rebuild (``build_ivf_index``
+    quantizers stay fixed — after appending many times the data drifts
+    from the trained quantization, so periodically rebuild (a full build
     sweeps every epoch)."""
-    man = load_index_manifest(index_dir)
-    if man is None or man.get("kind") != "ivf_trained":
-        raise FileNotFoundError(f"no trained-IVF manifest under {index_dir}")
-    if not fingerprint:
-        raise ValueError("append requires a non-empty fingerprint")
+    man = _manifest(index_dir)
     probe = ds.take(1)
-    if probe and _probe_dim(probe[0][man["emb_col"]]) != man["dim"]:
-        raise ValueError(
-            f"append dim {_probe_dim(probe[0][man['emb_col']])} != index dim {man['dim']}"
-        )
-    C = np.asarray(man["centroids"], np.float64)
-    cref = ray.put(C)
-    emb_col, id_col = man["emb_col"], man["id_col"]
-
-    def assign(t: pa.Table) -> np.ndarray:
-        C_ = ray.get(cref)
-        m = _norm(embedding_matrix(t.column(emb_col)))
-        return np.argmax(m @ C_.T, axis=1).astype(np.int64)
-
-    _write_partitioned(
-        ds, index_dir, "list", assign, id_col, emb_col, fingerprint,
-        rows_per_part, epoch=_epoch_tag(fingerprint),
-    )
-    rows_by_list, bytes_by_list = _scan_partition_stats(index_dir, "list")
-    gens = man.get("generations", [man["fingerprint"]])
+    dim = _probe_dim(probe[0][man["emb_col"]]) if probe else man["dim"]
+    if dim != man["dim"]:
+        raise ValueError(f"append dim {dim} != index dim {man['dim']}")
+    gens = man.setdefault("generations", [man["fingerprint"]])
     if fingerprint not in gens:
         gens.append(fingerprint)
-    man.update(
-        {
-            "lists": {int(b): int(r) for b, r in rows_by_list.items()},
-            "bytes": {int(b): int(v) for b, v in bytes_by_list.items()},
-            "rows": int(sum(rows_by_list.values())),
-            "generations": gens,
-        }
+    return _write_index(
+        ds, index_dir, man, fingerprint, rows_per_part, epoch=_epoch_tag(fingerprint)
     )
-    tmp = os.path.join(index_dir, INDEX_MANIFEST + ".tmp-rw")
-    with open(tmp, "w") as f:
-        json.dump(man, f)
-    os.replace(tmp, os.path.join(index_dir, INDEX_MANIFEST))
-    return man
-
-
-def append_to_ivfpq_index(
-    ds: "ray.data.Dataset",
-    index_dir: str,
-    fingerprint: str,
-    rows_per_part: int = DEFAULT_ROWS_PER_PART,
-) -> dict:
-    """Incremental add for the IVF-PQ sidecar (same epoch mechanics as
-    ``append_to_ivf_index``): new rows are assigned with the PERSISTED
-    centroids and encoded with the PERSISTED codebooks, so appended codes
-    are bit-identical to a one-shot build's. The quantizers stay fixed —
-    after heavy appends the data drifts from both trainings, so
-    periodically rebuild (``build_ivfpq_index`` sweeps every epoch via
-    the shared part machinery)."""
-    from ..functions.knn import pq_encode
-
-    man = load_index_manifest(index_dir)
-    if man is None or man.get("kind") != "ivf_pq":
-        raise FileNotFoundError(f"no ivf_pq manifest under {index_dir}")
-    if not fingerprint:
-        raise ValueError("append requires a non-empty fingerprint")
-    emb_col, id_col, code_col = man["emb_col"], man["id_col"], man["code_col"]
-    probe = ds.take(1)
-    if probe and _probe_dim(probe[0][emb_col]) != man["dim"]:
-        raise ValueError(
-            f"append dim {_probe_dim(probe[0][emb_col])} != index dim {man['dim']}"
-        )
-    C = np.asarray(man["centroids"], np.float64)
-    B = np.asarray(man["codebooks"], np.float64)
-    m = int(man["m"])
-    cref, bref = ray.put(C), ray.put(B)
-
-    def encode(t: pa.Table) -> pa.Table:
-        C_, B_ = ray.get(cref), ray.get(bref)
-        X = _norm(embedding_matrix(t.column(emb_col)))
-        lists = np.argmax(X @ C_.T, axis=1).astype(np.int64)
-        codes = pq_encode(X, B_)
-        return pa.table(
-            {
-                id_col: t.column(id_col),
-                code_col: pa.FixedSizeListArray.from_arrays(
-                    pa.array(codes.reshape(-1), pa.uint8()), m
-                ),
-                "_list": pa.array(lists, pa.int64()),
-            }
-        )
-
-    enc = ds.map_batches(encode, batch_format="pyarrow")
-
-    def assign(t: pa.Table) -> np.ndarray:
-        return t.column("_list").combine_chunks().to_numpy(zero_copy_only=False)
-
-    _write_partitioned(
-        enc, index_dir, "list", assign, id_col, code_col, fingerprint,
-        rows_per_part, epoch=_epoch_tag(fingerprint),
-    )
-    rows_by_list, bytes_by_list = _scan_partition_stats(index_dir, "list")
-    gens = man.get("generations", [man["fingerprint"]])
-    if fingerprint not in gens:
-        gens.append(fingerprint)
-    man.update(
-        {
-            "lists": {int(b): int(r) for b, r in rows_by_list.items()},
-            "bytes": {int(b): int(v) for b, v in bytes_by_list.items()},
-            "rows": int(sum(rows_by_list.values())),
-            "generations": gens,
-        }
-    )
-    tmp = os.path.join(index_dir, INDEX_MANIFEST + ".tmp-rw")
-    with open(tmp, "w") as f:
-        json.dump(man, f)
-    os.replace(tmp, os.path.join(index_dir, INDEX_MANIFEST))
-    return man
-
-
-def append_to_vector_index(
-    ds: "ray.data.Dataset",
-    index_dir: str,
-    fingerprint: str,
-    rows_per_part: int = DEFAULT_ROWS_PER_PART,
-) -> dict:
-    """Incremental add for the sign-plane sidecar (same epoch mechanics as
-    ``append_to_ivf_index``; the planes are deterministic in (n_planes,
-    dim) so appended rows bucket identically to a fresh build)."""
-    man = load_index_manifest(index_dir)
-    if man is None or man.get("kind") != "sign_plane":
-        raise FileNotFoundError(f"no sign-plane manifest under {index_dir}")
-    if not fingerprint:
-        raise ValueError("append requires a non-empty fingerprint")
-    probe = ds.take(1)
-    if probe and _probe_dim(probe[0][man["emb_col"]]) != man["dim"]:
-        raise ValueError(
-            f"append dim {_probe_dim(probe[0][man['emb_col']])} != index dim {man['dim']}"
-        )
-    planes = _planes(man["n_planes"], man["dim"])
-    pref = ray.put(planes)
-    emb_col, id_col = man["emb_col"], man["id_col"]
-
-    def assign(t: pa.Table) -> np.ndarray:
-        pl = ray.get(pref)
-        m = _norm(embedding_matrix(t.column(emb_col)))
-        bits = (m @ pl.T > 0).astype(np.int64)
-        return bits @ (1 << np.arange(pl.shape[0]))
-
-    _write_partitioned(
-        ds, index_dir, "bucket", assign, id_col, emb_col, fingerprint,
-        rows_per_part, epoch=_epoch_tag(fingerprint),
-    )
-    rows_by_bucket, _ = _scan_partition_stats(index_dir, "bucket")
-    gens = man.get("generations", [man["fingerprint"]])
-    if fingerprint not in gens:
-        gens.append(fingerprint)
-    man.update(
-        {
-            "buckets": {int(b): int(r) for b, r in rows_by_bucket.items()},
-            "rows": int(sum(rows_by_bucket.values())),
-            "generations": gens,
-        }
-    )
-    tmp = os.path.join(index_dir, INDEX_MANIFEST + ".tmp-rw")
-    with open(tmp, "w") as f:
-        json.dump(man, f)
-    os.replace(tmp, os.path.join(index_dir, INDEX_MANIFEST))
-    return man
 
 
 def load_index_manifest(index_dir: str) -> dict | None:
@@ -727,6 +497,17 @@ def load_index_manifest(index_dir: str) -> dict | None:
         return None
     with open(p) as f:
         return json.load(f)
+
+
+def _manifest(index_dir: str, *kinds: str) -> dict:
+    """The index manifest, refusing a missing index (FileNotFoundError) or
+    one of another layout than ``kinds`` (ValueError)."""
+    man = load_index_manifest(index_dir)
+    if man is None:
+        raise FileNotFoundError(f"no index manifest under {index_dir}")
+    if kinds and man.get("kind") not in kinds:
+        raise ValueError(f"{index_dir} holds a {man.get('kind')!r} index, not {' or '.join(kinds)}")
+    return man
 
 
 def query_vector_index(
@@ -743,23 +524,13 @@ def query_vector_index(
     bucket and is exact."""
     import ray.data as rd
 
-    man = load_index_manifest(index_dir)
-    if man is None:
-        raise FileNotFoundError(f"no index manifest under {index_dir}")
+    man = _manifest(index_dir, "sign_plane")
     n_planes = man["n_planes"]
-    q = _norm(np.asarray(query_vec, np.float64))
-    planes = _planes(n_planes, man["dim"])
-    qbits = (planes @ q > 0).astype(int)
-    qbucket = int((qbits * (1 << np.arange(n_planes))).sum())
-    probe = [
-        b for b in man["buckets"]
-        if bin(int(b) ^ qbucket).count("1") <= probe_hamming
-    ]
-    paths = _partition_parquet_files(
-        index_dir, [f"bucket={int(b):04d}" for b in sorted(map(int, probe))]
-    )
+    q = l2_normalize(np.asarray(query_vec, np.float64))
+    probe = probe_buckets(bucket_of(q, n_planes), n_planes, probe_hamming)
+    paths = _partition_parquet_files(index_dir, [f"bucket={b:04d}" for b in sorted(probe)])
     if not paths:
-        return pd.DataFrame({man["id_col"]: [], "score": []})
+        return pd.DataFrame({man["id_col"]: [], "score": pd.Series([], dtype="float64")})
     from .vector import cosine_topk
 
     ds = rd.read_parquet(paths, columns=[man["id_col"], man["emb_col"]])
@@ -767,8 +538,7 @@ def query_vector_index(
 
 
 def _ivf_probe_lists(man: dict, q: np.ndarray, n_probe: int) -> np.ndarray:
-    C = np.asarray(man["centroids"], np.float64)
-    return np.argsort(-(C @ q), kind="stable")[:n_probe]
+    return probe_order(np.asarray(man["centroids"], np.float64), q, n_probe)
 
 
 def query_ivf_index(
@@ -787,10 +557,8 @@ def query_ivf_index(
 
     import ray.data as rd
 
-    man = load_index_manifest(index_dir)
-    if man is None:
-        raise FileNotFoundError(f"no index manifest under {index_dir}")
-    q = _norm(np.asarray(query_vec, np.float64))
+    man = _manifest(index_dir, "ivf_trained")
+    q = l2_normalize(np.asarray(query_vec, np.float64))
     probe = _ivf_probe_lists(man, q, n_probe)
     paths = _partition_parquet_files(
         index_dir, [f"list={int(b):04d}" for b in sorted(int(x) for x in probe)]
@@ -803,7 +571,7 @@ def query_ivf_index(
     def score(t: pa.Table, qref=qref) -> pa.Table:
         q_ = ray.get(qref)
         ids = t.column(id_col).combine_chunks().to_numpy(zero_copy_only=False)
-        m = _norm(embedding_matrix(t.column(emb_col)))
+        m = l2_normalize(embedding_matrix(t.column(emb_col)))
         sims = m @ q_
         order = np.lexsort((ids, -sims))[:k]
         return pa.table(
@@ -849,12 +617,8 @@ def query_ivfpq_index(
 
     from ..functions.knn import pq_adc_lut, pq_adc_scores
 
-    man = load_index_manifest(index_dir)
-    if man is None:
-        raise FileNotFoundError(f"no index manifest under {index_dir}")
-    if man.get("kind") != "ivf_pq":
-        raise ValueError(f"not an ivf_pq index: kind={man.get('kind')!r}")
-    q = _norm(np.asarray(query_vec, np.float64))
+    man = _manifest(index_dir, "ivf_pq")
+    q = l2_normalize(np.asarray(query_vec, np.float64))
     lut = pq_adc_lut(q, np.asarray(man["codebooks"], np.float64))
     probe = _ivf_probe_lists(man, q, n_probe)
     probe_dirs = [f"list={int(b):04d}" for b in sorted(int(x) for x in probe)]
@@ -866,9 +630,7 @@ def query_ivfpq_index(
     if refine_index_dir is not None:
         # validate the refine sidecar BEFORE the distributed ADC scan — a
         # stale/mismatched sidecar must fail fast, not after the IO
-        rman = load_index_manifest(refine_index_dir)
-        if rman is None or rman.get("kind") != "ivf_trained":
-            raise ValueError(f"refine_index_dir must hold an ivf_trained sidecar: {refine_index_dir}")
+        rman = _manifest(refine_index_dir, "ivf_trained")
         if rman["id_col"] != id_col:
             raise ValueError(f"refine id_col {rman['id_col']!r} != index id_col {id_col!r}")
         if rman["centroids"] != man["centroids"]:
@@ -930,7 +692,7 @@ def query_ivfpq_index(
         id_type = t.column(id_col).type
         if not mask.any():
             return pa.table({id_col: pa.array([], id_type), "cosine": pa.array([], pa.float64())})
-        X = _norm(embedding_matrix(t.column(remb)))[mask]
+        X = l2_normalize(embedding_matrix(t.column(remb)))[mask]
         ids = ids[mask]
         sims = np.round(X @ q_, 6)
         order = np.lexsort((ids, -sims))[:k]
@@ -959,10 +721,8 @@ def ivf_scan_stats(index_dir: str, query_vec: np.ndarray, n_probe: int = 8) -> d
     """IO accounting for one query: bytes/rows of the probed lists vs the
     whole index — BYTES READ, not a mask fraction (the r4 verdict's exact
     complaint about the streaming path's 'scan_frac')."""
-    man = load_index_manifest(index_dir)
-    if man is None:
-        raise FileNotFoundError(f"no index manifest under {index_dir}")
-    q = _norm(np.asarray(query_vec, np.float64))
+    man = _manifest(index_dir, "ivf_trained", "ivf_pq")
+    q = l2_normalize(np.asarray(query_vec, np.float64))
     probe = {int(x) for x in _ivf_probe_lists(man, q, n_probe)}
     rows_total = sum(man["lists"].values())
     bytes_total = sum(man["bytes"].values())
@@ -981,7 +741,12 @@ def ivf_scan_stats(index_dir: str, query_vec: np.ndarray, n_probe: int = 8) -> d
 def build_graph_indices(out_dir: str, n_planes: int = 4) -> dict:
     """Sidecar indices for the graph's two embedding columns (the
     reference's auto_rebuild_indices surface, huggingface_driver.py:
-    1298-1304). Index dirs live beside the tables they index."""
+    1298-1304). Index dirs live beside the tables they index.
+
+    Each build is fingerprinted by the indexed table's part files
+    (relative path, size, mtime_ns) and the plane count: table edits go
+    through tmp + os.replace, so any edit re-indexes instead of resuming
+    the previous parts, and an unchanged table resumes as a no-op."""
     import ray.data as rd
 
     built = {}
@@ -989,7 +754,15 @@ def build_graph_indices(out_dir: str, n_planes: int = 4) -> dict:
         troot = os.path.join(out_dir, table)
         if not os.path.isdir(troot):
             continue
+        h = hashlib.md5(f"planes={n_planes}".encode())
+        for dirpath, dn, filenames in os.walk(troot):
+            gio._prune_tmp(dn)
+            for fn in sorted(filenames):
+                if fn.endswith(".parquet"):
+                    p = os.path.join(dirpath, fn)
+                    st = os.stat(p)
+                    h.update(f";{os.path.relpath(p, troot)}:{st.st_size}:{st.st_mtime_ns}".encode())
         ds = rd.read_parquet(troot, columns=["uuid", emb_col])
         idx_dir = os.path.join(out_dir, f"_index_{table}_{emb_col}")
-        built[table] = build_vector_index(ds, idx_dir, emb_col, "uuid", n_planes)
+        built[table] = build_vector_index(ds, idx_dir, emb_col, "uuid", n_planes, h.hexdigest()[:16])
     return built

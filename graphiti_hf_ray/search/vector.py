@@ -16,11 +16,7 @@ import pyarrow as pa
 
 import ray
 
-from ..functions.vectors import embedding_matrix
-
-
-def _norm(m: np.ndarray) -> np.ndarray:
-    return m / np.maximum(np.linalg.norm(m, axis=-1, keepdims=True), 1e-12)
+from ..functions.vectors import embedding_matrix, l2_normalize
 
 
 def cosine_topk(
@@ -31,14 +27,14 @@ def cosine_topk(
     k: int = 10,
     min_score: float = 0.6,
 ) -> pd.DataFrame:
-    q = _norm(np.asarray(query_vec, np.float64))
+    q = l2_normalize(np.asarray(query_vec, np.float64))
     qref = ray.put((q, k, min_score))
 
     def score(t: pa.Table) -> pa.Table:
         q_, k_, ms = ray.get(qref)
         ids = t.column(id_col).combine_chunks().to_numpy(zero_copy_only=False)
         mat = embedding_matrix(t.column(emb_col))
-        sims = _norm(mat) @ q_
+        sims = l2_normalize(mat) @ q_
         keep = sims >= ms
         ids = np.asarray(ids, object)[keep]
         sims = sims[keep]

@@ -115,7 +115,7 @@ def embedding_bucket_communities_per_group(g: pd.DataFrame, n_planes: int = 3) -
     sklearn) but the same shape — nodes with similar names co-cluster; the
     reference itself falls back to components when embeddings are missing.
     """
-    from ..functions.knn import _plane
+    from ..functions.knn import sign_buckets
 
     gid = g["group_id"].iloc[0]
     names = {}
@@ -124,10 +124,7 @@ def embedding_bucket_communities_per_group(g: pd.DataFrame, n_planes: int = 3) -
         names[t] = tn
     nodes = sorted(names)
     embs = embed_many([names[u] for u in nodes])
-    planes = np.stack([_plane(i, embs.shape[1]) for i in range(n_planes)])
-    bits = (embs @ planes.T > 0).astype(np.int64)
-    buckets = bits @ (1 << np.arange(n_planes))
-    ser = pd.Series(buckets, index=nodes)
+    ser = pd.Series(sign_buckets(embs, n_planes), index=nodes)
     root = ser.groupby(ser).transform(lambda s: min(s.index))
     return pd.DataFrame(
         {

@@ -273,6 +273,7 @@ def test_vector_index_sidecar(ray_session, store, tmp_path_factory):
     )
     assert man["rows"] == nodes.count()
     assert sum(man["buckets"].values()) == man["rows"]
+    assert set(man["bytes"]) == set(man["buckets"])
     # full probe = exact
     full = query_vector_index(idx_dir, q, k=5, probe_hamming=3, min_score=0.0)
     assert list(full["uuid"]) == list(exact["uuid"])
@@ -285,10 +286,35 @@ def test_vector_index_sidecar(ray_session, store, tmp_path_factory):
         n_planes=3, fingerprint="t1",
     )
     assert man2["buckets"] == man["buckets"]
-    # graph-level build places sidecars next to the tables
-    built = build_graph_indices(store.out_dir, n_planes=3)
+    # graph-level build places sidecars next to the tables (on a copy: the
+    # store fixture is shared by every test module)
+    import shutil
+
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from graphiti_hf_ray.pipelines.maintenance import _filter_table_dir
+
+    out = os.path.join(str(tmp_path_factory.mktemp("graph_idx")), "graph")
+    shutil.copytree(store.out_dir, out)
+    built = build_graph_indices(out, n_planes=3)
     assert "nodes" in built and "edges" in built
-    assert load_index_manifest(os.path.join(store.out_dir, "_index_nodes_name_embedding"))
+    assert load_index_manifest(os.path.join(out, "_index_nodes_name_embedding"))
+    # a graph edit re-indexes instead of resuming the old parts: the
+    # dropped edge leaves the sidecar and the row count follows the table
+    victim = sorted(rd.read_parquet(os.path.join(out, "edges"), columns=["uuid"]).to_pandas()["uuid"])[0]
+    assert _filter_table_dir(
+        os.path.join(out, "edges"), lambda t: pc.not_equal(t.column("uuid"), pa.scalar(victim))
+    ) >= 1
+    build_graph_indices(out, n_planes=3)
+    idx = os.path.join(out, "_index_edges_fact_embedding")
+    assert load_index_manifest(idx)["rows"] == rd.read_parquet(os.path.join(out, "edges")).count()
+    for dirpath, _, files in os.walk(idx):
+        for fn in files:
+            if fn.endswith(".parquet"):
+                assert victim not in pq.read_table(os.path.join(dirpath, fn)).column("uuid").to_pylist()
 
 
 def test_vector_index_salted_parts(ray_session, store, tmp_path_factory):
@@ -355,10 +381,10 @@ def test_ivf_index_sidecar(ray_session, sf_small, tmp_path_factory):
     assert sum(man["lists"].values()) == man["rows"]
     # centroids round-trip exactly through the manifest JSON (the stored
     # form is the re-normalized matrix both query paths actually score with)
-    from graphiti_hf_ray.functions.knn import _normalize
+    from graphiti_hf_ray.functions.vectors import l2_normalize
 
     np.testing.assert_array_equal(
-        np.asarray(load_index_manifest(idx)["centroids"]), _normalize(np.asarray(C, np.float64))
+        np.asarray(load_index_manifest(idx)["centroids"]), l2_normalize(np.asarray(C, np.float64))
     )
 
     for q in Q:
@@ -403,7 +429,7 @@ def test_ivf_index_append(ray_session, sf_small, tmp_path_factory):
 
     from graphiti_hf_ray.functions.knn import train_ivf_centroids
     from graphiti_hf_ray.search.index import (
-        append_to_ivf_index, build_ivf_index, load_index_manifest, query_ivf_index,
+        append_to_index, build_ivf_index, load_index_manifest, query_ivf_index,
     )
 
     emb = rd.read_parquet(f"{sf_small}/embeddings.parquet", columns=["vec_id", "embedding"]).materialize()
@@ -424,7 +450,7 @@ def test_ivf_index_append(ray_session, sf_small, tmp_path_factory):
 
     inc = str(tmp_path_factory.mktemp("ivf_inc"))
     build_ivf_index(first, inc, centroids=C, fingerprint="base", rows_per_part=64)
-    man = append_to_ivf_index(second, inc, fingerprint="add1", rows_per_part=64)
+    man = append_to_index(second, inc, fingerprint="add1", rows_per_part=64)
     assert man["rows"] == n
     assert sum(man["lists"].values()) == n
     assert man["generations"] == ["base", "add1"]
@@ -438,11 +464,11 @@ def test_ivf_index_append(ray_session, sf_small, tmp_path_factory):
         assert list(a["cosine"]) == list(b["cosine"])
 
     # same-fingerprint re-append resumes: row total unchanged
-    man2 = append_to_ivf_index(second, inc, fingerprint="add1", rows_per_part=64)
+    man2 = append_to_index(second, inc, fingerprint="add1", rows_per_part=64)
     assert man2["rows"] == n and man2["generations"] == ["base", "add1"]
 
     # empty append is a no-op (row total and query results unchanged)
-    man_e = append_to_ivf_index(second.limit(0), inc, fingerprint="add2", rows_per_part=64)
+    man_e = append_to_index(second.limit(0), inc, fingerprint="add2", rows_per_part=64)
     assert man_e["rows"] == n
 
     # full rebuild owns the dir: every epoch swept, counts back to base+add
@@ -474,8 +500,8 @@ def test_ivfpq_index_sidecar(ray_session, sf_small, tmp_path_factory):
         knn_brute, train_ivf_centroids, train_pq_codebooks,
     )
     from graphiti_hf_ray.search.index import (
-        build_ivf_index, build_ivfpq_index, ivf_scan_stats, load_index_manifest,
-        query_ivfpq_index,
+        build_ivf_index, build_ivfpq_index, build_vector_index, ivf_scan_stats,
+        load_index_manifest, query_ivf_index, query_ivfpq_index, query_vector_index,
     )
 
     t = pq.read_table(f"{sf_small}/embeddings.parquet")
@@ -546,6 +572,17 @@ def test_ivfpq_index_sidecar(ray_session, sf_small, tmp_path_factory):
         query_ivfpq_index(pq_dir, Q[0], k=10, n_probe=4, refine_index_dir=other)
     with pytest.raises(ValueError):
         query_ivfpq_index(full_dir, Q[0], k=10)  # not an ivf_pq index
+    # every query names the wrong layout instead of failing on a missing key
+    sp_dir = str(tmp_path_factory.mktemp("ivfpq_sp"))
+    build_vector_index(emb, sp_dir, "embedding", "vec_id", n_planes=2, fingerprint="f1")
+    with pytest.raises(ValueError):
+        query_ivf_index(pq_dir, Q[0], k=10)
+    with pytest.raises(ValueError):
+        query_vector_index(pq_dir, Q[0], k=10)
+    with pytest.raises(ValueError):
+        query_ivf_index(sp_dir, Q[0], k=10)
+    with pytest.raises(ValueError):
+        ivf_scan_stats(sp_dir, Q[0], n_probe=4)
     # caller-supplied codebooks must agree with nbits (ncode > 256 would
     # silently wrap in the uint8 code column)
     with pytest.raises(ValueError):
@@ -559,7 +596,7 @@ def test_ivfpq_index_sidecar(ray_session, sf_small, tmp_path_factory):
                           nbits=9, fingerprint="f1")
     # a refine sidecar stale relative to the pq index (rows appended to one
     # but not the other) is rejected, not silently row-dropped
-    from graphiti_hf_ray.search.index import append_to_ivfpq_index
+    from graphiti_hf_ray.search.index import append_to_index
 
     extra = emb.map_batches(
         lambda t: t.set_column(
@@ -569,7 +606,7 @@ def test_ivfpq_index_sidecar(ray_session, sf_small, tmp_path_factory):
         ),
         batch_format="pyarrow",
     ).limit(16).materialize()
-    append_to_ivfpq_index(extra, pq_dir, fingerprint="drift")
+    append_to_index(extra, pq_dir, fingerprint="drift")
     with pytest.raises(ValueError):
         query_ivfpq_index(pq_dir, Q[0], k=10, n_probe=4, refine_index_dir=full_dir)
 
@@ -585,7 +622,7 @@ def test_ivfpq_index_append(ray_session, sf_small, tmp_path_factory):
 
     from graphiti_hf_ray.functions.knn import train_ivf_centroids, train_pq_codebooks
     from graphiti_hf_ray.search.index import (
-        append_to_ivfpq_index, build_ivfpq_index, query_ivfpq_index,
+        append_to_index, build_ivfpq_index, query_ivfpq_index,
     )
 
     emb = rd.read_parquet(
@@ -611,7 +648,7 @@ def test_ivfpq_index_append(ray_session, sf_small, tmp_path_factory):
     inc = str(tmp_path_factory.mktemp("ivfpq_inc"))
     build_ivfpq_index(first, inc, centroids=C, codebooks=B, nbits=6,
                       fingerprint="base", rows_per_part=64)
-    man = append_to_ivfpq_index(second, inc, fingerprint="add1", rows_per_part=64)
+    man = append_to_index(second, inc, fingerprint="add1", rows_per_part=64)
     assert man["rows"] == n and sum(man["lists"].values()) == n
     assert man["generations"] == ["base", "add1"]
 
@@ -625,16 +662,18 @@ def test_ivfpq_index_append(ray_session, sf_small, tmp_path_factory):
         assert list(a["adc_score"]) == list(b["adc_score"])
 
     # same-fingerprint re-append resumes (no row doubling)
-    man2 = append_to_ivfpq_index(second, inc, fingerprint="add1", rows_per_part=64)
+    man2 = append_to_index(second, inc, fingerprint="add1", rows_per_part=64)
     assert man2["rows"] == n and man2["generations"] == ["base", "add1"]
 
 
 def test_vector_index_append(ray_session, store, tmp_path_factory):
     """Sign-plane append epoch == one-shot build for every probe width."""
     import numpy as np
+    import pyarrow as pa
+    import pytest
 
     from graphiti_hf_ray.search.index import (
-        append_to_vector_index, build_vector_index, query_vector_index,
+        append_to_index, build_vector_index, query_vector_index,
     )
 
     nodes = store.ds("nodes").select_columns(["uuid", "name_embedding"]).materialize()
@@ -645,7 +684,7 @@ def test_vector_index_append(ray_session, store, tmp_path_factory):
 
     inc = str(tmp_path_factory.mktemp("sp_inc"))
     build_vector_index(half_a, inc, "name_embedding", "uuid", n_planes=2, fingerprint="b")
-    man = append_to_vector_index(half_b, inc, fingerprint="a1")
+    man = append_to_index(half_b, inc, fingerprint="a1")
     assert man["rows"] == nodes.count()
 
     full = str(tmp_path_factory.mktemp("sp_full"))
@@ -654,6 +693,21 @@ def test_vector_index_append(ray_session, store, tmp_path_factory):
         a = query_vector_index(inc, q, k=8, probe_hamming=ph, min_score=-1.0)
         b = query_vector_index(full, q, k=8, probe_hamming=ph, min_score=-1.0)
         assert list(a["uuid"]) == list(b["uuid"])
+
+    # refusals: no index, no batch name, a vector of another width
+    with pytest.raises(FileNotFoundError):
+        append_to_index(half_b, str(tmp_path_factory.mktemp("sp_none")), fingerprint="a2")
+    with pytest.raises(ValueError):
+        append_to_index(half_b, inc, fingerprint="")
+    wide = half_b.map_batches(
+        lambda t: t.set_column(
+            1, "name_embedding",
+            pa.array([v + v for v in t.column("name_embedding").to_pylist()], pa.list_(pa.float32())),
+        ),
+        batch_format="pyarrow",
+    )
+    with pytest.raises(ValueError):
+        append_to_index(wide, inc, fingerprint="a3")
 
 
 def test_cross_encoder_distributed_matches_stub(ray_session, store):
