@@ -34,15 +34,8 @@ MANIFEST = "_manifest.json"
 
 
 def manifest_matches(d: str, fingerprint: str) -> bool:
-    p = os.path.join(d, MANIFEST)
-    if not os.path.exists(p):
-        return False
-    try:
-        with open(p) as f:
-            m = json.load(f)
-        return m.get("fingerprint") == fingerprint and m.get("complete") is True
-    except (json.JSONDecodeError, OSError):
-        return False
+    m = read_manifest(d)
+    return m is not None and m.get("fingerprint") == fingerprint and m.get("complete") is True
 
 
 def write_shard_atomic(table: pa.Table, d: str, fingerprint: str, metrics: dict | None = None) -> dict:
@@ -620,37 +613,67 @@ def rewrite_file_atomic(table: pa.Table, path: str) -> None:
         raise
 
 
+def write_manifest(d: str, man: dict) -> None:
+    """Replace a shard dir's manifest atomically (tmp + os.replace)."""
+    p = os.path.join(d, MANIFEST)
+    tmp = p + ".tmp-rw"
+    with open(tmp, "w") as f:
+        json.dump(man, f)
+    os.replace(tmp, p)
+
+
+def read_manifest(d: str) -> dict | None:
+    """A shard dir's manifest, or None when it is missing or unreadable."""
+    try:
+        with open(os.path.join(d, MANIFEST)) as f:
+            return json.load(f)
+    except (OSError, json.JSONDecodeError):
+        return None
+
+
 def refresh_manifest_rows(d: str) -> None:
     """Recount a shard dir's rows from parquet footers and update its
     manifest (used after an in-place mutation like remove_episode so
     job_metrics / resume logic see true counts)."""
-    p = os.path.join(d, MANIFEST)
-    if not os.path.exists(p):
+    m = read_manifest(d)
+    if m is None:
         return
-    rows = sum(
+    m["rows"] = sum(
         pq.read_metadata(os.path.join(d, fn)).num_rows
         for fn in os.listdir(d)
         if fn.endswith(".parquet")
     )
-    with open(p) as f:
-        m = json.load(f)
-    m["rows"] = rows
     m["mutated_at"] = time.time()
-    tmp = p + ".tmp-rw"
-    with open(tmp, "w") as f:
-        json.dump(m, f)
-    os.replace(tmp, p)
+    write_manifest(d, m)
+
+
+def part_files(root: str) -> list[str]:
+    """Every parquet part file under ``root`` in read order (a dir's own
+    files sorted, then its subdirs sorted), skipping ``.tmp-`` dirs."""
+    out = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        _prune_tmp(dirnames)
+        out.extend(os.path.join(dirpath, fn) for fn in sorted(filenames) if fn.endswith(".parquet"))
+    return out
+
+
+def part_files_fingerprint(root: str, seed: str = "") -> str:
+    """md5 over the part files under ``root``: relative path, size and
+    mtime_ns each. Table edits go through tmp + os.replace, so any edit
+    changes it; a manifest rewrite does not (it is no part file)."""
+    import hashlib
+
+    h = hashlib.md5(seed.encode())
+    for p in part_files(root):
+        st = os.stat(p)
+        h.update(f";{os.path.relpath(p, root)}:{st.st_size}:{st.st_mtime_ns}".encode())
+    return h.hexdigest()
 
 
 def read_table_dir(out_dir: str, table: str) -> pa.Table:
     """Read every shard of a table directory back into one Arrow table."""
     root = os.path.join(out_dir, table)
-    parts = []
-    for dirpath, dirnames, filenames in os.walk(root):
-        _prune_tmp(dirnames)
-        for fn in sorted(filenames):
-            if fn.endswith(".parquet"):
-                parts.append(pq.read_table(os.path.join(dirpath, fn)))
+    parts = [pq.read_table(p) for p in part_files(root)]
     if not parts:
         raise FileNotFoundError(f"no parquet under {root}")
     return pa.concat_tables(parts)
@@ -665,12 +688,7 @@ def read_table_dir_ds(out_dir: str, table: str, columns: list[str] | None = None
     import ray.data as rd
 
     root = os.path.join(out_dir, table)
-    paths = []
-    for dirpath, dirnames, filenames in os.walk(root):
-        _prune_tmp(dirnames)
-        for fn in sorted(filenames):
-            if fn.endswith(".parquet"):
-                paths.append(os.path.join(dirpath, fn))
+    paths = part_files(root)
     if not paths:
         raise FileNotFoundError(f"no parquet under {root}")
     if columns is not None:

@@ -59,14 +59,7 @@ def _next_seq(jroot: str) -> int:
 
 
 def _edges_files(out_dir: str) -> list[str]:
-    root = os.path.join(out_dir, "edges")
-    out = []
-    for dirpath, dirnames, files in os.walk(root):
-        dirnames[:] = [d for d in dirnames if not d.startswith(".tmp-")]
-        for fn in sorted(files):
-            if fn.endswith(".parquet"):
-                out.append(os.path.join(dirpath, fn))
-    return out
+    return gio.part_files(os.path.join(out_dir, "edges"))
 
 
 def _snapshot_rows(out_dir: str, uuids: list[str]) -> pa.Table:

@@ -18,6 +18,15 @@ Phases (phase boundary = resume checkpoint):
               MENTIONS episodic edges.
   P4 write    : final tables + job metrics manifest.
 
+P2+P3 take one of three routes, picked from the link tables' manifests
+(``link_and_edges_phase``): ``full`` re-derives every link table from the
+union of all runs' triples (the only route of a fresh out_dir, so every
+batch build); ``delta`` folds the triples of a small new run into the
+persisted tables driver-side — the TS8 incremental write
+``graphiti_core``'s ``add_episode`` makes, resolving new mentions and
+edges against existing ones only; ``unchanged`` writes nothing. The delta
+falls back to ``full`` whenever it could not give the full route's bytes.
+
 Ray session ownership: these functions NEVER call ray.init/shutdown —
 callers (bench.py, tests, the driver) own the session.
 """
@@ -33,6 +42,7 @@ import time
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray
@@ -42,17 +52,24 @@ from .. import io as gio
 from ..extract.html import extract_text_batch
 from ..extract.triples import TripleExtractor
 from ..stages.canonicalize import (
+    SEP,
     build_nodes_table,
     canonicalize,
     canonicalize_distributed,
     distinct_mentions,
 )
 from ..stages.edges import (
+    CanonicalRewrite,
+    _mentions_rows,
     canon_map_dict,
+    combine_partial_edges_and_sweep,
     finalize_edges,
+    finalize_edges_batch,
     mentions_edges,
     mentions_edges_per_shard,
+    mentions_partial,
     merge_and_invalidate,
+    merge_edge_bucket,
     rewrite_batch,
     rewrite_via_join,
 )
@@ -71,6 +88,21 @@ SALT_THRESHOLD = 2_000_000
 
 # pages per extract chunk: bounds an extract task's heap (see extract_phase)
 EXTRACT_CHUNK_ROWS = 16_384
+
+# new-run triple rows above this take the full link route: the delta route
+# holds them on the driver (tests monkeypatch it)
+DELTA_MAX_TRIPLES = 100_000
+
+# the link phase's output dirs (one manifest each) and the one part file per
+# dir a delta link rewrites
+LINK_TABLES = ("nodes/shard=0000", "edges", "episodic_edges", "duplicate_edges/shard=0000")
+DELTA_PART = "part-delta.parquet"
+
+# triples columns the link phase reads: not the hive 'shard' column nor sent_idx
+TRIPLE_COLUMNS = [
+    "episode_uuid", "group_id", "valid_at", "subj_surface", "subj_label",
+    "pred", "obj_surface", "obj_label", "fact",
+]
 
 
 def _pool_size() -> tuple[int, int]:
@@ -310,8 +342,9 @@ def extract_phase(
     # shard dirs are namespaced by the input fingerprint: re-running the
     # same input resumes (skips complete shards); running a NEW input file
     # into the same out_dir APPENDS new shards — the TS8 incremental-delta
-    # model (episodes/triples are an append-only log; link phase re-derives
-    # the canonical graph from the union, idempotent via deterministic ids)
+    # model (episodes/triples are an append-only log; the link phase folds
+    # the new run into its tables or re-derives them from the union,
+    # idempotent via deterministic ids)
     def sdir(table: str, shard: int) -> str:
         return os.path.join(out_dir, table, f"shard={fp_run[:8]}-{shard:04d}")
 
@@ -390,16 +423,31 @@ def extract_phase(
     stats.materialize()  # execute
 
 
-def _link_fingerprint(out_dir: str, run_ts_us: int) -> str:
+def _triples_shards(out_dir: str) -> dict[str, dict]:
+    """Manifest of every triples shard dir, keyed by dir name."""
+    troot = os.path.join(out_dir, "triples")
+    shards = {}
+    for d in sorted(os.listdir(troot)) if os.path.isdir(troot) else []:
+        m = gio.read_manifest(os.path.join(troot, d)) if d.startswith("shard=") else None
+        if m is not None:
+            shards[d] = m
+    return shards
+
+
+def _run_of(shard_dir: str) -> str:
+    """Run prefix of a shard dir name ``shard=<run>-<nnnn>``."""
+    return shard_dir.split("shard=", 1)[1].split("-", 1)[0]
+
+
+def _link_fingerprint(out_dir: str, run_ts_us: int, runs: set[str] | None = None) -> str:
     """Link-phase lineage fingerprint: the run ts AND the exact set of input
     triples shards (their manifests), so an incremental append of new shards
-    invalidates and re-derives the global tables."""
-    shard_fps = []
-    troot = os.path.join(out_dir, "triples")
-    for dirpath, _d, files in sorted(os.walk(troot)):
-        if gio.MANIFEST in files:
-            with open(os.path.join(dirpath, gio.MANIFEST)) as f:
-                shard_fps.append(json.load(f).get("fingerprint", ""))
+    invalidates and re-derives the global tables. ``runs`` restricts it to
+    the shards of those run prefixes."""
+    shard_fps = [
+        m.get("fingerprint", "") for d, m in _triples_shards(out_dir).items()
+        if runs is None or _run_of(d) in runs
+    ]
     return "run:" + str(run_ts_us) + ":" + hashlib.md5("|".join(sorted(shard_fps)).encode()).hexdigest()
 
 
@@ -450,6 +498,252 @@ def _distributed_canon(triples: "rd.Dataset", distinct: "rd.Dataset", run_ts_us:
     return nodes, dups, rewritten, hot, None
 
 
+def _link_dirs(out_dir: str) -> list[str]:
+    return [os.path.join(out_dir, t) for t in LINK_TABLES]
+
+
+def _seal_link_tables(out_dir: str, fp: str, runs: set[str], n_mentions: int) -> None:
+    """Last write of every link: each link table's manifest records the
+    link fingerprint, the runs it covers, the distinct-mention count, its
+    footer row count and its part-file fingerprint (the mark that catches
+    later edits which leave the manifest as it was)."""
+    for d in _link_dirs(out_dir):
+        m = gio.read_manifest(d) or {}
+        m.pop("mutated_at", None)
+        m.update(
+            fingerprint=fp, complete=True, linked_runs=sorted(runs), mentions=n_mentions,
+            rows=sum(pq.read_metadata(p).num_rows for p in gio.part_files(d)),
+            files=gio.part_files_fingerprint(d),
+        )
+        gio.write_manifest(d, m)
+
+
+def _unseal_link_tables(out_dir: str) -> None:
+    """Mark every link manifest incomplete, so a write cut short leaves
+    tables the next link re-derives whole."""
+    for d in _link_dirs(out_dir):
+        m = gio.read_manifest(d)
+        if m is not None:
+            gio.write_manifest(d, {**m, "complete": False})
+
+
+def _choose_link_route(out_dir: str, run_ts_us: int, shards: dict[str, dict]) -> tuple[str, str, dict | None]:
+    """(route, reason, link record) from manifests and file stats alone:
+    ``unchanged`` when the sealed tables already cover every triples run,
+    ``delta`` when they cover all but new runs the driver can fold in,
+    ``full`` otherwise, with the check that failed."""
+    from ..stages.canonicalize import CANON_DRIVER_MAX_MENTIONS
+
+    mans = [gio.read_manifest(d) for d in _link_dirs(out_dir)]
+    keys = ("fingerprint", "linked_runs", "mentions")
+    if any(m is None or m.get("complete") is not True or "files" not in m for m in mans) or any(
+        [m.get(k) for k in keys] != [mans[0].get(k) for k in keys] for m in mans
+    ):
+        return "full", "no linked-run record", None
+    rec = mans[0]
+    if any(gio.part_files_fingerprint(d) != m["files"] for d, m in zip(_link_dirs(out_dir), mans)):
+        return "full", "tables edited", rec
+    linked, runs = set(rec["linked_runs"]), {_run_of(d) for d in shards}
+    base = _link_fingerprint(out_dir, run_ts_us, linked)
+    if not linked <= runs or rec["fingerprint"] not in (base, base + ":distcanon"):
+        return "full", "tables edited", rec
+    if runs == linked:
+        tag = ":distcanon" if rec["mentions"] > CANON_DRIVER_MAX_MENTIONS else ""
+        if rec["fingerprint"] == base + tag:
+            return "unchanged", "", rec
+        return "full", "distributed route", rec
+    new_rows = sum(m.get("rows", 0) for d, m in shards.items() if _run_of(d) not in linked)
+    if new_rows > DELTA_MAX_TRIPLES:
+        return "full", "run too large", rec
+    # each triple row adds at most two distinct mentions
+    if rec["fingerprint"] != base or rec["mentions"] + 2 * new_rows > CANON_DRIVER_MAX_MENTIONS:
+        return "full", "distributed route", rec
+    return "delta", "", rec
+
+
+def _read_parts(d: str, columns: list[str], flt=None) -> pa.Table:
+    """Columns of the part files under ``d``, rows passing ``flt``."""
+    import pyarrow.dataset as pads
+
+    return pads.dataset(gio.part_files(d), format="parquet").to_table(columns=columns, filter=flt)
+
+
+def _delta_canon(out_dir: str, triples: pa.Table, run_ts_us: int):
+    """Canonicalize a new run's distinct mentions against the persisted
+    ones, with the full route's kernels: the blocks the run's mentions fall
+    in are rebuilt from nodes and duplicate_edges of the run's groups plus
+    the new names, and ``pairs_in_block`` scores them. Returns (rewrite
+    dict, new nodes, new IS_DUPLICATE_OF rows, new mention count), or the
+    reason the full route must run instead: a block over the cap, a new
+    name linking two entities, or one that would take over an entity's
+    canonical name (longest name wins)."""
+    from ..ids import entity_uuid
+    from ..stages.canonicalize import (
+        MAX_BLOCK_NAMES, UnionFind, blocking_keys_batch, mention_key, pairs_in_block,
+        partial_distinct_mentions,
+    )
+
+    run = partial_distinct_mentions(triples).to_pandas()
+    run["key"] = [mention_key(g, l, s_) for g, l, s_ in zip(run["group_id"], run["label"], run["surface"])]
+    in_groups = pc.field("group_id").isin(pa.array(sorted(set(run["group_id"])), pa.string()))
+    nodes = _read_parts(os.path.join(out_dir, "nodes", "shard=0000"), ["uuid", "name", "group_id", "labels"], in_groups)
+    dups = _read_parts(
+        os.path.join(out_dir, "duplicate_edges", "shard=0000"),
+        ["source_name", "target_uuid", "target_name", "group_id"], in_groups,
+    )
+    label = pc.list_element(nodes.column("labels"), 0).to_pylist()
+    label_of = dict(zip(nodes.column("uuid").to_pylist(), label))
+    inv = pd.DataFrame({
+        "group_id": nodes.column("group_id").to_pylist() + dups.column("group_id").to_pylist(),
+        "label": label + [label_of[u] for u in dups.column("target_uuid").to_pylist()],
+        "surface": nodes.column("name").to_pylist() + dups.column("source_name").to_pylist(),
+        "canon_name": nodes.column("name").to_pylist() + dups.column("target_name").to_pylist(),
+        "canon_uuid": nodes.column("uuid").to_pylist() + dups.column("target_uuid").to_pylist(),
+    })
+    known = {
+        mention_key(g, l, s_): (c, u)
+        for g, l, s_, c, u in zip(inv["group_id"], inv["label"], inv["surface"], inv["canon_name"], inv["canon_uuid"])
+    }
+    fresh = run[~run["key"].isin(known)].reset_index(drop=True)
+
+    def blocks(df: pd.DataFrame) -> pd.DataFrame:
+        return blocking_keys_batch(pa.Table.from_pandas(df, preserve_index=False)).to_pandas()
+
+    run_bk = blocks(run[["group_id", "label", "surface", "n"]])
+    inv_bk = blocks(inv[["group_id", "label", "surface"]].assign(n=0))
+    touched = pd.concat(
+        [inv_bk[inv_bk["block_key"].isin(set(run_bk["block_key"]))], run_bk], ignore_index=True
+    ).drop_duplicates(["block_key", "surface"])
+    if len(touched) and touched.groupby("block_key").size().max() > MAX_BLOCK_NAMES:
+        return "block over cap"
+    # union-find over the new names and the entities they pair with: an
+    # entity is one node, so a new name bridging two entities joins them
+    ent = "\x00"
+    uf = UnionFind()
+    for k in fresh["key"]:
+        uf.find(k)
+    with_fresh = set(blocks(fresh[["group_id", "label", "surface", "n"]])["block_key"])
+    for _, g in touched[touched["block_key"].isin(with_fresh)].groupby("block_key", sort=False):
+        pairs = pairs_in_block(g)
+        for a, b in zip(pairs["a"], pairs["b"]):
+            uf.union(*(ent + known[x][1] if x in known else x for x in (a, b)))
+    members: dict[str, list[str]] = {}
+    for x in list(uf.parent):
+        members.setdefault(uf.find(x), []).append(x)
+    canon_name = {u: c for c, u in known.values()}
+    fresh_of = {k: (g, l, s_) for k, g, l, s_ in zip(fresh["key"], fresh["group_id"], fresh["label"], fresh["surface"])}
+    new_canon: dict[str, tuple[str, str]] = {}
+    for xs in members.values():
+        ents = [x[1:] for x in xs if x.startswith(ent)]
+        keys = [x for x in xs if not x.startswith(ent)]
+        if len(ents) > 1:
+            return "mention merges entities"
+        if not keys:
+            continue
+        best = min([fresh_of[k][2] for k in keys] + [canon_name[e] for e in ents], key=lambda n: (-len(n), n))
+        if ents and best != canon_name[ents[0]]:
+            return "canonical name changes"
+        g, l, _ = fresh_of[keys[0]]
+        new_canon.update(dict.fromkeys(keys, (best, ents[0] if ents else entity_uuid(g, l, best))))
+    fresh["canon_name"] = [new_canon[k][0] for k in fresh["key"]]
+    fresh["canon_uuid"] = [new_canon[k][1] for k in fresh["key"]]
+    new_entities = fresh[~fresh["canon_uuid"].isin(set(canon_name))]
+    return (
+        {**{k: known[k] for k in run["key"] if k in known}, **new_canon},
+        build_nodes_table(new_entities, run_ts_us),
+        build_duplicate_of_edges(fresh, run_ts_us),
+        len(fresh),
+    )
+
+
+def _delta_link(out_dir: str, run_ts_us: int, shards: dict[str, dict], rec: dict, fp: str) -> str | None:
+    """Delta link route: fold the triples of runs the sealed link tables do
+    not cover into those tables, driver-side, with the full route's
+    kernels. Returns the reason the full route must run instead, or None
+    once the tables are written and sealed.
+
+    - canonical map: ``_delta_canon`` against the persisted entities;
+    - edges: every persisted row of a (group, predicate, object) bucket
+      the run touches, plus the run's partial edges (``merge_edge_bucket``),
+      goes through ``combine_partial_edges_and_sweep`` — the associative
+      merge both full-route merge paths end in — then the finalize body
+      and the embedder;
+    - MENTIONS: the one kernel over the run's rewritten rows; exact only
+      when no new episode already sits in an older run, else full.
+
+    Writes: the link manifests go incomplete first; replaced edge rows
+    leave the files holding them (atomic per-file rewrites); each table's
+    new rows go to one delta part file, rewritten whole each time; the
+    manifests are sealed last. A crash anywhere leaves an incomplete
+    manifest, and the next link takes the full route."""
+    import pyarrow.dataset as pads
+
+    linked = set(rec["linked_runs"])
+    new_dirs = [d for d in shards if _run_of(d) not in linked]
+    triples = pa.concat_tables(
+        [_read_parts(os.path.join(out_dir, "triples", d), TRIPLE_COLUMNS) for d in new_dirs]
+    )
+    runs = linked | {_run_of(d) for d in new_dirs}
+    if not triples.num_rows:
+        _seal_link_tables(out_dir, fp, runs, rec["mentions"])
+        return None
+    eps = pc.unique(triples.column("episode_uuid"))
+    old_eps = [
+        p for d in sorted(os.listdir(os.path.join(out_dir, "episodes")))
+        if d.startswith("shard=") and _run_of(d) in linked
+        for p in gio.part_files(os.path.join(out_dir, "episodes", d))
+    ]
+    if old_eps and pads.dataset(old_eps, format="parquet").count_rows(filter=pc.field("uuid").isin(eps)):
+        return "url recurs"
+    canon = _delta_canon(out_dir, triples, run_ts_us)
+    if isinstance(canon, str):
+        return canon
+    cmap, new_nodes, new_dups, n_fresh = canon
+
+    rewritten = CanonicalRewrite(cmap)(triples)
+    partial = merge_edge_bucket(rewritten.to_pandas())
+    touched = pa.array(
+        sorted({SEP.join(k) for k in zip(partial["group_id"], partial["name"], partial["target_uuid"])}), pa.string()
+    )
+    edges_dir = os.path.join(out_dir, "edges")
+    kept: dict[str, pa.Table] = {}  # part file → its rows outside the touched buckets
+    hits = []
+    for p in gio.part_files(edges_dir) if len(touched) else []:
+        k = pq.read_table(p, columns=["group_id", "name", "target_uuid"])
+        hit = pc.is_in(pc.binary_join_element_wise(k["group_id"], k["name"], k["target_uuid"], SEP), value_set=touched)
+        if pc.any(hit).as_py():
+            t = pq.read_table(p)
+            kept[p] = t.filter(pc.invert(hit))
+            hits.append(t.filter(hit))
+    old = pa.concat_tables(hits).select(list(partial.columns)).to_pandas() if hits else partial.iloc[:0]
+    merged = combine_partial_edges_and_sweep(pd.concat([old, partial], ignore_index=True))
+    new_edges = Embedder("fact", "fact_embedding")(
+        finalize_edges_batch(pa.Table.from_pandas(merged, preserve_index=False), run_ts_us)
+    )
+    new_men = _mentions_rows(mentions_partial(rewritten).to_pandas(), run_ts_us)
+
+    _unseal_link_tables(out_dir)
+    for p, t in kept.items():
+        if os.path.basename(p) != DELTA_PART:
+            gio.rewrite_file_atomic(t, p)
+    for d, rows in (
+        (edges_dir, new_edges),
+        (os.path.join(out_dir, "episodic_edges"), new_men),
+        (os.path.join(out_dir, "nodes", "shard=0000"), new_nodes),
+        (os.path.join(out_dir, "duplicate_edges", "shard=0000"), new_dups),
+    ):
+        if not rows.num_rows:
+            continue
+        path = os.path.join(d, DELTA_PART)
+        prev = kept[path] if path in kept else pq.read_table(path) if os.path.exists(path) else None
+        files = gio.part_files(d)
+        schema = pq.read_schema(files[0]) if files else rows.schema
+        rows = rows.select(schema.names).cast(schema)
+        gio.rewrite_file_atomic(rows if prev is None else pa.concat_tables([prev, rows]), path)
+    _seal_link_tables(out_dir, fp, runs, rec["mentions"] + n_fresh)
+    return None
+
+
 def link_and_edges_phase(
     out_dir: str,
     run_ts_us: int = DEFAULT_RUN_TS_US,
@@ -457,37 +751,71 @@ def link_and_edges_phase(
 ) -> dict:
     """P2+P3: global canonicalization + edge build from extracted shards.
 
-    One skeleton whose only branch is the canonical-map strategy. The
-    distinct-mentions dataset is materialized once (it feeds whichever
-    strategy runs, so the gate costs no extra shuffle) and a streaming
-    ``count()`` on it picks the route: above ``CANON_DRIVER_MAX_MENTIONS``
-    the distributed strategy (``_distributed_canon``) keeps the map a
-    Dataset; below it the driver broadcast strategy (``_driver_canon``,
-    faster in the vocabulary-sized regime) runs. Both write the same rows
-    with the same schemas. ``timings`` names the routes taken:
-    ``canon_path`` and ``mentions_path``.
+    Three link routes, picked from manifests before any Ray job and named
+    in ``timings`` (``link_route``, and ``link_reason`` for the check that
+    forced ``full``):
+
+    - ``unchanged``: the sealed link tables (``LINK_TABLES``) already cover
+      every triples run and nobody edited them since; nothing runs.
+    - ``delta``: they cover all but a few new runs (at most
+      ``DELTA_MAX_TRIPLES`` triple rows, driver canonical route). The new
+      runs' triples fold into the persisted tables (``_delta_link``); a
+      new mention that merges entities or renames one, a block over the
+      cap or a url recurring across runs sends the link to ``full``.
+    - ``full``: one skeleton whose only branch is the canonical-map
+      strategy. The distinct-mentions dataset is materialized once (it
+      feeds whichever strategy runs, so the gate costs no extra shuffle)
+      and a streaming ``count()`` on it picks the route: above
+      ``CANON_DRIVER_MAX_MENTIONS`` the distributed strategy
+      (``_distributed_canon``) keeps the map a Dataset; below it the
+      driver broadcast strategy (``_driver_canon``, faster in the
+      vocabulary-sized regime) runs. Both write the same rows with the
+      same schemas. ``timings`` names the routes taken: ``canon_path``
+      and ``mentions_path``.
 
     MENTIONS is one kernel over rewritten rows in one of two placements:
     per-shard (``mentions_edges_per_shard``, no exchange) when a broadcast
     map exists and triples/ holds one run fingerprint, else behind one
-    (episode, entity) exchange (``mentions_edges``) on ``rewritten``."""
-    from ..stages.canonicalize import CANON_DRIVER_MAX_MENTIONS
+    (episode, entity) exchange (``mentions_edges``) on ``rewritten``.
 
+    Every route ends by sealing the link manifests (``_seal_link_tables``);
+    the delta and unchanged checks trust nothing else."""
     timings = timings if timings is not None else {}
     t0 = time.time()
+    shards = _triples_shards(out_dir)
+    route, reason, rec = _choose_link_route(out_dir, run_ts_us, shards)
+    if route == "delta":
+        reason = _delta_link(out_dir, run_ts_us, shards, rec, _link_fingerprint(out_dir, run_ts_us)) or ""
+        route = "full" if reason else "delta"
+        timings["delta"] = round(time.time() - t0, 2)
+    if route == "full":
+        if reason == "tables edited":
+            # the edit may have left a manifest whose fingerprint the full
+            # route would otherwise take as already written
+            _unseal_link_tables(out_dir)
+        _full_link(out_dir, run_ts_us, timings, time.time(), {_run_of(d) for d in shards})
+    timings["link_route"], timings["link_reason"] = route, reason
+
+    metrics = gio.job_metrics(out_dir)
+    metrics["timings"] = dict(timings)
+    with open(os.path.join(out_dir, "_job_metrics.json"), "w") as f:
+        json.dump(metrics, f, indent=2)
+    return metrics
+
+
+def _full_link(out_dir: str, run_ts_us: int, timings: dict, t0: float, runs: set[str]) -> None:
+    """The full route: re-derive every link table from the triples union."""
+    from ..stages.canonicalize import CANON_DRIVER_MAX_MENTIONS
+
     cpus = int(ray.cluster_resources().get("CPU", 8))
     # prune at the read: drop the hive-partition 'shard' column and sent_idx
     # so the rewrite/dedup shuffles move only needed bytes
     triples = rd.read_parquet(
-        os.path.join(out_dir, "triples"),
-        override_num_blocks=2 * cpus,
-        columns=[
-            "episode_uuid", "group_id", "valid_at", "subj_surface", "subj_label",
-            "pred", "obj_surface", "obj_label", "fact",
-        ],
+        os.path.join(out_dir, "triples"), override_num_blocks=2 * cpus, columns=TRIPLE_COLUMNS
     )
     distinct = distinct_mentions(triples).materialize()
-    distributed = distinct.count() > CANON_DRIVER_MAX_MENTIONS
+    n_mentions = distinct.count()
+    distributed = n_mentions > CANON_DRIVER_MAX_MENTIONS
     timings["canon_path"] = "distributed(auto)" if distributed else "driver"
     fp = _link_fingerprint(out_dir, run_ts_us) + (":distcanon" if distributed else "")
     strategy = _distributed_canon if distributed else _driver_canon
@@ -502,14 +830,12 @@ def link_and_edges_phase(
     # consumer of the broadcast `rewritten` re-executes stateless tasks
     # only, so it needs no materialize.
     troot = os.path.join(out_dir, "triples")
-    run_fps = {d.split("shard=", 1)[1].split("-", 1)[0] for d in os.listdir(troot) if d.startswith("shard=")}
-    if map_ref is not None and len(run_fps) <= 1:
+    if map_ref is not None and len(runs) <= 1:
         timings["mentions_path"] = "per-shard"
         men = mentions_edges_per_shard(troot, map_ref, run_ts_us)
     else:
         timings["mentions_path"] = "rewritten" if map_ref is None else "generic(multi-run)"
         men = mentions_edges(rewritten, run_ts_us)
-
     # nodes + D2 audit trail (IS_DUPLICATE_OF alias→canonical edges): both
     # routes write shard=0000, so a route flip in one out_dir replaces the
     # other route's output instead of landing beside it
@@ -554,12 +880,7 @@ def link_and_edges_phase(
     if mention_err:
         raise mention_err[0]
     timings["mentions"] = round(men_wall[0], 2) if men_wall else 0.0
-
-    metrics = gio.job_metrics(out_dir)
-    metrics["timings"] = dict(timings)
-    with open(os.path.join(out_dir, "_job_metrics.json"), "w") as f:
-        json.dump(metrics, f, indent=2)
-    return metrics
+    _seal_link_tables(out_dir, fp, runs, n_mentions)
 
 
 def build_graph(

@@ -166,22 +166,17 @@ def _filter_table_dir(root: str, pred) -> int:
 
     n = 0
     touched_dirs = set()
-    for dirpath, dirnames, files in os.walk(root):
-        dirnames[:] = [d for d in dirnames if not d.startswith(".tmp-")]
-        for fn in files:
-            if not fn.endswith(".parquet"):
-                continue
-            p = os.path.join(dirpath, fn)
-            t = pq.read_table(p)
-            keep = pred(t)
-            # pc.sum of an empty mask is null, not 0 — a zero-row file
-            # (e.g. left by a prior delete) must not crash the next one
-            kept = pc.sum(pc.cast(keep, pa.int64())).as_py() or 0
-            dropped = t.num_rows - kept
-            if dropped:
-                n += dropped
-                gio.rewrite_file_atomic(t.filter(keep), p)
-                touched_dirs.add(dirpath)
+    for p in gio.part_files(root):
+        t = pq.read_table(p)
+        keep = pred(t)
+        # pc.sum of an empty mask is null, not 0 — a zero-row file
+        # (e.g. left by a prior delete) must not crash the next one
+        kept = pc.sum(pc.cast(keep, pa.int64())).as_py() or 0
+        dropped = t.num_rows - kept
+        if dropped:
+            n += dropped
+            gio.rewrite_file_atomic(t.filter(keep), p)
+            touched_dirs.add(os.path.dirname(p))
     for d in touched_dirs:
         gio.refresh_manifest_rows(d)
     return n

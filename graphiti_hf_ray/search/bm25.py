@@ -78,7 +78,11 @@ def bm25_topk(
         )
 
     sdf = ds.map_batches(stats, batch_format="pyarrow").to_pandas()
-    agg = sdf.groupby("term")["df"].sum()
+    if sdf.empty:
+        # every block was empty (no row of the table is in the searched
+        # groups): the frame carries no columns, and no row can score
+        return _no_hits(id_col)
+    agg =sdf.groupby("term")["df"].sum()
     n_docs = int(sdf.groupby("term")["n_docs"].sum().iloc[0])
     total_len = int(sdf.groupby("term")["total_len"].sum().iloc[0])
     if n_docs == 0:

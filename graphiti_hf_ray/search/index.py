@@ -754,15 +754,8 @@ def build_graph_indices(out_dir: str, n_planes: int = 4) -> dict:
         troot = os.path.join(out_dir, table)
         if not os.path.isdir(troot):
             continue
-        h = hashlib.md5(f"planes={n_planes}".encode())
-        for dirpath, dn, filenames in os.walk(troot):
-            gio._prune_tmp(dn)
-            for fn in sorted(filenames):
-                if fn.endswith(".parquet"):
-                    p = os.path.join(dirpath, fn)
-                    st = os.stat(p)
-                    h.update(f";{os.path.relpath(p, troot)}:{st.st_size}:{st.st_mtime_ns}".encode())
+        fp = gio.part_files_fingerprint(troot, f"planes={n_planes}")[:16]
         ds = rd.read_parquet(troot, columns=["uuid", emb_col])
         idx_dir = os.path.join(out_dir, f"_index_{table}_{emb_col}")
-        built[table] = build_vector_index(ds, idx_dir, emb_col, "uuid", n_planes, h.hexdigest()[:16])
+        built[table] = build_vector_index(ds, idx_dir, emb_col, "uuid", n_planes, fp)
     return built

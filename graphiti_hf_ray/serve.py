@@ -7,8 +7,10 @@ surface and payload shapes but stays dependency-free (stdlib
 ``http.server``) and Ray-Data-backed: every handler delegates to the
 engine's existing batch operators — ingestion spools messages into pages
 parquet and runs the shard-resumable incremental build (extract appends
-shards, link re-derives the canonical graph), search goes through the
-hybrid recipe engine, deletes reuse the atomic table-dir filters.
+shards; the link phase folds a small new run into the persisted tables,
+or re-derives them when it cannot — see ``pipelines.kg``), search goes
+through the hybrid recipe engine, deletes reuse the atomic table-dir
+filters.
 
 Routes (reference parity):
 
@@ -88,10 +90,17 @@ class GraphService:
     Ingestion model: each ``add_messages`` batch becomes one pages parquet
     in ``<out_dir>/_ingest_spool``; the background worker (the reference's
     AsyncWorker, ingest.py:13-47) drains the queue and runs the engine's
-    incremental build — extract appends content-fingerprinted shards,
-    the link phase re-derives the canonical graph from the shard union
-    (idempotent, deterministic ids). ``flush()`` blocks until the queue
-    drains (tests; the reference's queue offers no such hook)."""
+    incremental build — extract appends content-fingerprinted shards, and
+    the link phase takes one of three routes (``link_and_edges_phase``):
+    ``delta`` folds the new run's triples into the persisted tables,
+    touching only the entities, edge buckets and MENTIONS rows it adds;
+    ``unchanged`` (a re-post of a spooled batch) writes nothing; ``full``
+    re-derives the graph from the shard union (idempotent, deterministic
+    ids) when the delta's checks fail — a new mention merging entities or
+    renaming one, a url recurring across runs, tables edited since the
+    last link. ``_job_metrics.json`` names the route and the reason.
+    ``flush()`` blocks until the queue drains (tests; the reference's
+    queue offers no such hook)."""
 
     def __init__(
         self,
@@ -118,10 +127,11 @@ class GraphService:
         # has no client timestamp (the reference stamps now(); wall clock is
         # banned here), so each new episode gets run_ts + seq µs — ingestion
         # order IS the temporal order, and a restart resumes past the
-        # already-spooled episodes
-        self._ep_seq = len([f for f in os.listdir(self.spool_dir) if f.startswith("episode-")])
+        # latest spooled episode (not past the spool count: a deleted
+        # episode's spool is gone, and counting would reissue a live seq)
         self._seq_lock = threading.Lock()
         self._migrate_spool_names()
+        self._ep_seq = self._last_spooled_seq()
         self._worker = threading.Thread(target=self._drain, daemon=True)
         self._worker.start()
 
@@ -145,6 +155,17 @@ class GraphService:
             want = f"episode-{md5_id('spool:' + ep_key)}.parquet"
             if fn != want:
                 os.replace(p, os.path.join(self.spool_dir, want))
+
+    def _last_spooled_seq(self) -> int:
+        import pyarrow.parquet as pq
+
+        seqs = [
+            pq.read_table(os.path.join(self.spool_dir, fn), columns=["warc_ts"])
+            .column("warc_ts").cast(pa.int64())[0].as_py() - self.run_ts_us
+            for fn in os.listdir(self.spool_dir)
+            if fn.startswith("episode-") and fn.endswith(".parquet")
+        ]
+        return max([0, *seqs])
 
     # ------------------------------------------------------------- ingest
 
@@ -340,16 +361,30 @@ class GraphService:
         return {"message": "Entity Edge deleted", "success": True, "rows_removed": int(n)}
 
     def delete_group(self, group_id: str) -> dict:
+        """DELETE /group/{gid}: the group's rows in every graph table and
+        log, and its spool files, under the single-writer lock — a row
+        left in the triples log would come back with the next build's
+        link."""
         from .pipelines.maintenance import _filter_table_dir
+
+        import pyarrow.parquet as pq
 
         scalar = pa.scalar(group_id)
         removed = 0
-        for table in ("nodes", "edges", "episodes", "communities"):
-            root = os.path.join(self.out_dir, table)
-            if os.path.isdir(root):
-                removed += _filter_table_dir(
-                    root, lambda t: pc.invert(pc.equal(t.column("group_id"), scalar))
-                )
+        with self._lock:
+            for table in (
+                "nodes", "edges", "episodes", "episodic_edges", "triples",
+                "communities", "community_edges", "duplicate_edges",
+            ):
+                root = os.path.join(self.out_dir, table)
+                if os.path.isdir(root):
+                    removed += _filter_table_dir(
+                        root, lambda t: pc.invert(pc.equal(t.column("group_id"), scalar))
+                    )
+            for fn in sorted(os.listdir(self.spool_dir)):
+                p = os.path.join(self.spool_dir, fn)
+                if fn.endswith(".parquet") and group_id in pq.read_table(p, columns=["group_id"]).column("group_id").to_pylist():
+                    os.remove(p)
         return {"message": "Group deleted", "success": True, "rows_removed": int(removed)}
 
     def delete_episode(self, uuid: str) -> dict:

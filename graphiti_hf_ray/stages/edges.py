@@ -391,39 +391,40 @@ def invalidate_functional(merged: "ray.data.Dataset", functional_preds=FUNCTIONA
     return swept.union(passthrough)
 
 
-def finalize_edges(edges_ds: "ray.data.Dataset", run_ts_us: int) -> "ray.data.Dataset":
+def finalize_edges_batch(t: pa.Table, run_ts_us: int) -> pa.Table:
     """Add created_at / expired_at / attributes, final column order."""
+    n = t.num_rows
+    created = pa.array([run_ts_us] * n, pa.timestamp("us"))
+    inv = t.column("invalid_at") if "invalid_at" in t.column_names else pa.nulls(n, pa.timestamp("us"))
+    inv = inv.combine_chunks() if isinstance(inv, pa.ChunkedArray) else inv
+    inv = inv.cast(pa.timestamp("us"))
+    expired = pc.if_else(pc.is_valid(inv), created, pa.nulls(n, pa.timestamp("us")))
+    cols = {
+        "uuid": t.column("uuid"),
+        "source_uuid": t.column("source_uuid"),
+        "source_name": t.column("source_name"),
+        "target_uuid": t.column("target_uuid"),
+        "target_name": t.column("target_name"),
+        "name": t.column("name"),
+        "fact": t.column("fact"),
+        "group_id": t.column("group_id"),
+        "created_at": created,
+        "episodes": t.column("episodes"),
+        "created_by": t.column("created_by"),
+        "expired_at": expired,
+        "valid_at": t.column("valid_at").combine_chunks().cast(pa.timestamp("us")) if isinstance(t.column("valid_at"), pa.ChunkedArray) else t.column("valid_at").cast(pa.timestamp("us")),
+        "invalid_at": inv,
+        "attributes": pa.array(["{}"] * n, pa.string()),
+        "n_occurrences": t.column("n_occurrences"),
+    }
+    return pa.table(cols)
 
-    def fin(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
 
-        n = t.num_rows
-        created = pa.array([run_ts_us] * n, pa.timestamp("us"))
-        inv = t.column("invalid_at") if "invalid_at" in t.column_names else pa.nulls(n, pa.timestamp("us"))
-        inv = inv.combine_chunks() if isinstance(inv, pa.ChunkedArray) else inv
-        inv = inv.cast(pa.timestamp("us"))
-        expired = pc.if_else(pc.is_valid(inv), created, pa.nulls(n, pa.timestamp("us")))
-        cols = {
-            "uuid": t.column("uuid"),
-            "source_uuid": t.column("source_uuid"),
-            "source_name": t.column("source_name"),
-            "target_uuid": t.column("target_uuid"),
-            "target_name": t.column("target_name"),
-            "name": t.column("name"),
-            "fact": t.column("fact"),
-            "group_id": t.column("group_id"),
-            "created_at": created,
-            "episodes": t.column("episodes"),
-            "created_by": t.column("created_by"),
-            "expired_at": expired,
-            "valid_at": t.column("valid_at").combine_chunks().cast(pa.timestamp("us")) if isinstance(t.column("valid_at"), pa.ChunkedArray) else t.column("valid_at").cast(pa.timestamp("us")),
-            "invalid_at": inv,
-            "attributes": pa.array(["{}"] * n, pa.string()),
-            "n_occurrences": t.column("n_occurrences"),
-        }
-        return pa.table(cols)
-
-    return edges_ds.map_batches(fin, batch_format="pyarrow")
+def finalize_edges(edges_ds: "ray.data.Dataset", run_ts_us: int) -> "ray.data.Dataset":
+    """``finalize_edges_batch`` over every block."""
+    return edges_ds.map_batches(
+        functools.partial(finalize_edges_batch, run_ts_us=run_ts_us), batch_format="pyarrow"
+    )
 
 
 # ---------------------------------------------------------------------------

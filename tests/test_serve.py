@@ -103,6 +103,17 @@ def test_ingest_idempotent_and_incremental(service):
     svc.flush()
     code, res = _call(port, "POST", "/search", {"query": "Acme", "group_ids": ["chat1"]})
     n_before = len(res["facts"])
+    # a re-post of the same batch links nothing and rewrites no part file
+    import os
+
+    from graphiti_hf_ray import io as gio
+
+    tables = LINK_TABLES + ("episodes", "triples")
+    mtimes = {p: os.stat(p).st_mtime_ns for t in tables for p in gio.part_files(os.path.join(svc.out_dir, t))}
+    _call(port, "POST", "/messages", {"group_id": "chat1", "messages": [base]})
+    svc.flush()
+    assert _link_route(svc.out_dir)[:2] == ("unchanged", "")
+    assert {p: os.stat(p).st_mtime_ns for t in tables for p in gio.part_files(os.path.join(svc.out_dir, t))} == mtimes
     _call(
         port, "POST", "/messages",
         {
@@ -290,3 +301,181 @@ def test_search_no_match_returns_empty_facts(ray_session, tmp_path_factory):
     svc.add_episode("g", "epB", "Grace Hopper moved to Oslo.")
     assert any("Acme" in f["fact"] for f in svc.search("Acme", group_ids=["g"])["facts"])
     assert svc.search("zzzqqq", group_ids=["g"]) == {"facts": []}
+    # a group with no rows: every BM25 block is empty
+    assert svc.search("Acme", group_ids=["nosuchgroup"]) == {"facts": []}
+
+
+def test_episode_seq_survives_delete_and_restart(ray_session, tmp_path_factory):
+    """Ingestion order is temporal order across a delete and a restart: the
+    restarted service resumes past the latest spooled episode, not past
+    the spool count (regression: d got c's valid_at)."""
+    from graphiti_hf_ray import io as gio
+    from graphiti_hf_ray.serve import GraphService
+
+    out = str(tmp_path_factory.mktemp("svc_seq"))
+    svc = GraphService(out)
+    ua = svc.add_episode("g1", "a", "Ada Lovelace works at Acme Corporation.")["uuid"]
+    svc.add_episode("g1", "b", "Grace Hopper moved to Oslo.")
+    uc = svc.add_episode("g1", "c", "Alan Turing works at Bletchley Park.")["uuid"]
+    svc.delete_episode(ua)
+    ud = GraphService(out).add_episode("g1", "d", "Marie Curie moved to Paris.")["uuid"]
+    eps = gio.read_table_dir(out, "episodes").to_pandas().set_index("uuid")["valid_at"]
+    assert eps.is_unique
+    assert eps[ud] > eps[uc]
+
+
+def test_delete_group_stays_deleted(ray_session, tmp_path_factory):
+    """delete_group removes the group from every table, log and spool, so
+    the next build's link does not bring it back (regression: one add to
+    another group restored its nodes and edges)."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from graphiti_hf_ray import io as gio
+    from graphiti_hf_ray.serve import GraphService
+
+    out = str(tmp_path_factory.mktemp("svc_delgroup"))
+    svc = GraphService(out)
+    svc.add_episode("g1", "a", "Ada Lovelace works at Acme Corporation.")
+    svc.add_episode("g1", "b", "Lovelace moved to Paris.")
+    svc.add_episode("g2", "c", "Grace Hopper moved to Oslo.")
+    tables = LINK_TABLES + ("episodes", "triples")
+    for table in tables:
+        assert "g1" in gio.read_table_dir(out, table).column("group_id").to_pylist(), table
+    svc.delete_group("g1")
+    svc.add_episode("g2", "d", "Alan Turing works at Bletchley Park.")
+    for table in tables:
+        assert "g1" not in gio.read_table_dir(out, table).column("group_id").to_pylist(), table
+    assert gio.read_table_dir(out, "edges").num_rows == 2
+    for fn in os.listdir(svc.spool_dir):
+        assert "g1" not in pq.read_table(os.path.join(svc.spool_dir, fn)).column("group_id").to_pylist()
+    assert svc.search("Acme", group_ids=["g1"]) == {"facts": []}
+
+
+LINK_TABLES = ("nodes", "edges", "episodic_edges", "duplicate_edges")
+
+
+def _link_route(out):
+    import os
+
+    with open(os.path.join(out, "_job_metrics.json")) as f:
+        m = json.load(f)
+    return m["timings"]["link_route"], m["timings"]["link_reason"], m["tables"]
+
+
+def _assert_equals_fresh_full_link(out, scratch):
+    """The served dir's link tables equal a full link over copies of its
+    episodes and triples logs: schema and rows, whatever the row order and
+    file layout; its job metrics count the rows its tables hold."""
+    import os
+    import shutil
+
+    from graphiti_hf_ray import io as gio
+    from graphiti_hf_ray.pipelines.kg import link_and_edges_phase
+
+    shutil.rmtree(scratch, ignore_errors=True)
+    for log in ("episodes", "triples"):
+        shutil.copytree(os.path.join(out, log), os.path.join(scratch, log))
+    fresh = link_and_edges_phase(scratch)
+    assert fresh["timings"]["link_route"] == "full"
+    _, _, tables = _link_route(out)
+    for t in LINK_TABLES:
+        a, b = gio.read_table_dir(out, t), gio.read_table_dir(scratch, t)
+        assert a.schema.equals(b.schema), (t, a.schema, b.schema)
+        assert a.sort_by("uuid").equals(b.sort_by("uuid")), t
+        assert tables[t]["rows"] == a.num_rows, t
+
+
+def test_delta_link_matches_full_link(ray_session, tmp_path_factory, monkeypatch):
+    """Single-episode writes fold into the persisted link tables (delta
+    route) when the new mentions neither merge nor rename entities; every
+    other write takes the full route and says why. After every write the
+    four link tables equal a fresh full link of the same logs."""
+    import os
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    import graphiti_hf_ray.pipelines.kg as kg
+    from graphiti_hf_ray import io as gio
+    from graphiti_hf_ray.ids import md5_id
+    from graphiti_hf_ray.serve import GraphService
+
+    out = str(tmp_path_factory.mktemp("svc_delta"))
+    scratch = str(tmp_path_factory.mktemp("svc_delta_full")) + "/g"
+    svc = GraphService(out)
+
+    def add(name, body, route, reason=""):
+        svc.add_episode("g", name, body)
+        assert _link_route(out)[:2] == (route, reason), (name, _link_route(out)[:2])
+        _assert_equals_fresh_full_link(out, scratch)
+
+    add("e1", "Ada Lovelace works at Acme Corporation.", "full", "no linked-run record")
+    add("e2", "Grace Hopper moved to Oslo.", "delta")               # new facts
+    add("e3", "Lovelace moved to Paris.", "delta")                  # shorter alias
+    add("e4", "Grace Hopper is the CEO of Acme Corporation.", "delta")
+    add("e5", "Alan Turing is the CEO of Acme Corporation.", "delta")  # invalidates e4's
+    inv = gio.read_table_dir(out, "edges").to_pandas().set_index("source_name")
+    assert inv.loc["Grace Hopper"].query("name == 'IS_CEO_OF'")["invalid_at"].notna().all()
+    add("e6", "Ada King moved to London.", "delta")
+    add("e7", "Grace B. Hopper founded Initech.", "full", "canonical name changes")
+    add("e8", "Ada moved to Rome.", "full", "mention merges entities")
+    monkeypatch.setattr(kg, "DELTA_MAX_TRIPLES", 0)
+    add("e9", "Marie Curie moved to Warsaw.", "full", "run too large")
+    monkeypatch.undo()
+
+    # a build_graph input repeating an earlier run's url
+    d = tmp_path_factory.mktemp("svc_delta_pages")
+    url = f"memory://g/{md5_id('mem:g:e2:Grace Hopper moved to Oslo.')}"
+    page = pa.table({
+        "url": [url], "warc_ts": pa.array([svc.run_ts_us + 100], pa.timestamp("us")),
+        "html": [b"<html><body><p>Grace Hopper founded Cobol Labs.</p></body></html>"],
+        "text": ["Grace Hopper founded Cobol Labs."], "lang": ["en"], "group_id": ["g"],
+    })
+    pq.write_table(page, str(d / "p.parquet"))
+    kg.build_graph([str(d / "p.parquet")], out, num_shards=1)
+    assert _link_route(out)[:2] == ("full", "url recurs")
+    _assert_equals_fresh_full_link(out, scratch)
+
+    add("e10", "Alan Turing works at Bletchley Park.", "delta")
+    edge = gio.read_table_dir(out, "edges").column("uuid")[0].as_py()
+    svc.delete_entity_edge(edge)
+    add("e11", "Tim Berners-Lee moved to Geneva.", "full", "tables edited")
+    add("e12", "Tim Berners-Lee founded Cern Web.", "delta")
+
+    # an identical re-add writes nothing
+    mtimes = {p: os.stat(p).st_mtime_ns for t in LINK_TABLES for p in gio.part_files(os.path.join(out, t))}
+    add("e12", "Tim Berners-Lee founded Cern Web.", "unchanged")
+    assert {p: os.stat(p).st_mtime_ns for p in mtimes} == mtimes
+
+
+def test_delta_link_crash_takes_full_route(ray_session, tmp_path_factory, monkeypatch):
+    """A delta write cut short after its first file leaves its manifests
+    incomplete: the next write takes the full route, and its tables equal
+    a fresh full link."""
+    import pytest
+
+    from graphiti_hf_ray import io as gio
+    from graphiti_hf_ray.serve import GraphService
+
+    out = str(tmp_path_factory.mktemp("svc_crash"))
+    svc = GraphService(out)
+    svc.add_episode("g", "e1", "Ada Lovelace works at Acme Corporation.")
+    write = gio.rewrite_file_atomic
+    calls = []
+
+    def crash_after_first(table, path):
+        if calls:
+            raise OSError("disk full")
+        calls.append(path)
+        write(table, path)
+
+    monkeypatch.setattr(gio, "rewrite_file_atomic", crash_after_first)
+    with pytest.raises(OSError, match="disk full"):
+        svc.add_episode("g", "e2", "Grace Hopper moved to Oslo.")
+    monkeypatch.undo()
+    assert len(calls) == 1
+    svc.add_episode("g", "e3", "Alan Turing works at Bletchley Park.")
+    assert _link_route(out)[:2] == ("full", "no linked-run record")
+    _assert_equals_fresh_full_link(out, str(tmp_path_factory.mktemp("svc_crash_full")) + "/g")
