@@ -18,14 +18,16 @@ Phases (phase boundary = resume checkpoint):
               MENTIONS episodic edges.
   P4 write    : final tables + job metrics manifest.
 
-P2+P3 take one of three routes, picked from the link tables' manifests
+P2+P3 take one of four routes, picked from the link tables' manifests
 (``link_and_edges_phase``): ``full`` re-derives every link table from the
 union of all runs' triples (the only route of a fresh out_dir, so every
 batch build); ``delta`` folds the triples of a small new run into the
 persisted tables driver-side — the TS8 incremental write
 ``graphiti_core``'s ``add_episode`` makes, resolving new mentions and
-edges against existing ones only; ``unchanged`` writes nothing. The delta
-falls back to ``full`` whenever it could not give the full route's bytes.
+edges against existing ones only; ``unchanged`` writes nothing. Where the
+delta could not give the full route's bytes (a new name merges or renames
+entities), ``group`` re-derives the link rows of the run's groups alone,
+driver-side; only groups too large for the driver take ``full``.
 
 Ray session ownership: these functions NEVER call ray.init/shutdown —
 callers (bench.py, tests, the driver) own the session.
@@ -54,9 +56,11 @@ from ..extract.triples import TripleExtractor
 from ..stages.canonicalize import (
     SEP,
     build_nodes_table,
+    canonical_map,
     canonicalize,
     canonicalize_distributed,
     distinct_mentions,
+    partial_distinct_mentions,
 )
 from ..stages.edges import (
     CanonicalRewrite,
@@ -89,8 +93,9 @@ SALT_THRESHOLD = 2_000_000
 # pages per extract chunk: bounds an extract task's heap (see extract_phase)
 EXTRACT_CHUNK_ROWS = 16_384
 
-# new-run triple rows above this take the full link route: the delta route
-# holds them on the driver (tests monkeypatch it)
+# new-run triple rows above this take the full link route, and so do the
+# triple rows of a group route's groups: both routes hold them on the
+# driver (tests monkeypatch it)
 DELTA_MAX_TRIPLES = 100_000
 
 # the link phase's output dirs (one manifest each) and the one part file per
@@ -574,14 +579,11 @@ def _delta_canon(out_dir: str, triples: pa.Table, run_ts_us: int):
     in are rebuilt from nodes and duplicate_edges of the run's groups plus
     the new names, and ``pairs_in_block`` scores them. Returns (rewrite
     dict, new nodes, new IS_DUPLICATE_OF rows, new mention count), or the
-    reason the full route must run instead: a block over the cap, a new
+    reason the group route must run instead: a block over the cap, a new
     name linking two entities, or one that would take over an entity's
     canonical name (longest name wins)."""
     from ..ids import entity_uuid
-    from ..stages.canonicalize import (
-        MAX_BLOCK_NAMES, UnionFind, blocking_keys_batch, mention_key, pairs_in_block,
-        partial_distinct_mentions,
-    )
+    from ..stages.canonicalize import MAX_BLOCK_NAMES, UnionFind, blocking_keys_batch, mention_key, pairs_in_block
 
     run = partial_distinct_mentions(triples).to_pandas()
     run["key"] = [mention_key(g, l, s_) for g, l, s_ in zip(run["group_id"], run["label"], run["surface"])]
@@ -656,41 +658,90 @@ def _delta_canon(out_dir: str, triples: pa.Table, run_ts_us: int):
     )
 
 
-def _delta_link(out_dir: str, run_ts_us: int, shards: dict[str, dict], rec: dict, fp: str) -> str | None:
-    """Delta link route: fold the triples of runs the sealed link tables do
-    not cover into those tables, driver-side, with the full route's
-    kernels. Returns the reason the full route must run instead, or None
-    once the tables are written and sealed.
-
-    - canonical map: ``_delta_canon`` against the persisted entities;
-    - edges: every persisted row of a (group, predicate, object) bucket
-      the run touches, plus the run's partial edges (``merge_edge_bucket``),
-      goes through ``combine_partial_edges_and_sweep`` — the associative
-      merge both full-route merge paths end in — then the finalize body
-      and the embedder;
-    - MENTIONS: the one kernel over the run's rewritten rows; exact only
-      when no new episode already sits in an older run, else full.
-
-    Writes: the link manifests go incomplete first; replaced edge rows
-    leave the files holding them (atomic per-file rewrites); each table's
-    new rows go to one delta part file, rewritten whole each time; the
-    manifests are sealed last. A crash anywhere leaves an incomplete
-    manifest, and the next link takes the full route."""
-    import pyarrow.dataset as pads
-
+def _new_run_triples(out_dir: str, shards: dict[str, dict], rec: dict) -> tuple[pa.Table, set[str]]:
+    """The triples of the runs the sealed link tables do not cover, and
+    the runs the tables cover once they are folded in."""
     linked = set(rec["linked_runs"])
     new_dirs = [d for d in shards if _run_of(d) not in linked]
     triples = pa.concat_tables(
         [_read_parts(os.path.join(out_dir, "triples", d), TRIPLE_COLUMNS) for d in new_dirs]
     )
-    runs = linked | {_run_of(d) for d in new_dirs}
+    return triples, linked | {_run_of(d) for d in new_dirs}
+
+
+def _split_parts(d: str, columns: list[str], hit_of) -> tuple[dict[str, pa.Table], list[pa.Table]]:
+    """Part files under ``d`` holding rows ``hit_of`` marks (a boolean mask
+    over ``columns``): each such file's other rows, keyed by path, and the
+    marked rows."""
+    kept: dict[str, pa.Table] = {}
+    hits = []
+    for p in gio.part_files(d):
+        hit = hit_of(pq.read_table(p, columns=columns))
+        if pc.any(hit).as_py():
+            t = pq.read_table(p)
+            kept[p] = t.filter(pc.invert(hit))
+            hits.append(t.filter(hit))
+    return kept, hits
+
+
+def _edge_rows(partial: pd.DataFrame, run_ts_us: int) -> pa.Table:
+    """Partial edges (``merge_edge_bucket`` rows) of whole (group,
+    predicate, object) buckets → final edge rows: the merge both full-route
+    merge paths end in, the finalize body and the embedder."""
+    merged = combine_partial_edges_and_sweep(partial)
+    return Embedder("fact", "fact_embedding")(
+        finalize_edges_batch(pa.Table.from_pandas(merged, preserve_index=False), run_ts_us)
+    )
+
+
+def _fold(out_dir: str, kept: dict[str, pa.Table], rows_of: dict[str, pa.Table], fp: str, runs: set[str], n_mentions: int) -> None:
+    """Write a delta or group link: the link manifests go incomplete first;
+    each file in ``kept`` is rewritten to the rows it keeps (atomic
+    per-file rewrites); each table's new rows (``rows_of``, keyed by link
+    dir) join its one delta part file, rewritten whole each time; the
+    manifests are sealed last. A crash anywhere leaves an incomplete
+    manifest, and the next link takes the full route."""
+    _unseal_link_tables(out_dir)
+    for p, t in kept.items():
+        if os.path.basename(p) != DELTA_PART:
+            gio.rewrite_file_atomic(t, p)
+    for d, rows in rows_of.items():
+        path = os.path.join(d, DELTA_PART)
+        if path in kept:
+            prev = kept[path]
+        elif not rows.num_rows:
+            continue
+        else:
+            prev = pq.read_table(path) if os.path.exists(path) else None
+        files = gio.part_files(d)
+        schema = pq.read_schema(files[0]) if files else rows.schema
+        rows = rows.select(schema.names).cast(schema)
+        gio.rewrite_file_atomic(rows if prev is None else pa.concat_tables([prev, rows]), path)
+    _seal_link_tables(out_dir, fp, runs, n_mentions)
+
+
+def _delta_link(out_dir: str, run_ts_us: int, triples: pa.Table, runs: set[str], rec: dict, fp: str) -> str | None:
+    """Delta link route: fold the triples of runs the sealed link tables do
+    not cover into those tables, driver-side, with the full route's
+    kernels. Returns the reason it cannot (``url recurs`` sends the link
+    to the full route, every other reason to the group route), or None
+    once the tables are written and sealed (``_fold``).
+
+    - canonical map: ``_delta_canon`` against the persisted entities;
+    - edges: every persisted row of a (group, predicate, object) bucket
+      the run touches, plus the run's partial edges (``merge_edge_bucket``),
+      goes through ``_edge_rows``;
+    - MENTIONS: the one kernel over the run's rewritten rows; exact only
+      when no new episode already sits in an older run."""
+    import pyarrow.dataset as pads
+
     if not triples.num_rows:
         _seal_link_tables(out_dir, fp, runs, rec["mentions"])
         return None
     eps = pc.unique(triples.column("episode_uuid"))
     old_eps = [
         p for d in sorted(os.listdir(os.path.join(out_dir, "episodes")))
-        if d.startswith("shard=") and _run_of(d) in linked
+        if d.startswith("shard=") and _run_of(d) in rec["linked_runs"]
         for p in gio.part_files(os.path.join(out_dir, "episodes", d))
     ]
     if old_eps and pads.dataset(old_eps, format="parquet").count_rows(filter=pc.field("uuid").isin(eps)):
@@ -706,41 +757,59 @@ def _delta_link(out_dir: str, run_ts_us: int, shards: dict[str, dict], rec: dict
         sorted({SEP.join(k) for k in zip(partial["group_id"], partial["name"], partial["target_uuid"])}), pa.string()
     )
     edges_dir = os.path.join(out_dir, "edges")
-    kept: dict[str, pa.Table] = {}  # part file → its rows outside the touched buckets
-    hits = []
-    for p in gio.part_files(edges_dir) if len(touched) else []:
-        k = pq.read_table(p, columns=["group_id", "name", "target_uuid"])
-        hit = pc.is_in(pc.binary_join_element_wise(k["group_id"], k["name"], k["target_uuid"], SEP), value_set=touched)
-        if pc.any(hit).as_py():
-            t = pq.read_table(p)
-            kept[p] = t.filter(pc.invert(hit))
-            hits.append(t.filter(hit))
-    old = pa.concat_tables(hits).select(list(partial.columns)).to_pandas() if hits else partial.iloc[:0]
-    merged = combine_partial_edges_and_sweep(pd.concat([old, partial], ignore_index=True))
-    new_edges = Embedder("fact", "fact_embedding")(
-        finalize_edges_batch(pa.Table.from_pandas(merged, preserve_index=False), run_ts_us)
+    kept, hits = _split_parts(
+        edges_dir, ["group_id", "name", "target_uuid"],
+        lambda k: pc.is_in(pc.binary_join_element_wise(k["group_id"], k["name"], k["target_uuid"], SEP), value_set=touched),
     )
-    new_men = _mentions_rows(mentions_partial(rewritten).to_pandas(), run_ts_us)
+    old = pa.concat_tables(hits).select(list(partial.columns)).to_pandas() if hits else partial.iloc[:0]
+    _fold(out_dir, kept, {
+        edges_dir: _edge_rows(pd.concat([old, partial], ignore_index=True), run_ts_us),
+        os.path.join(out_dir, "episodic_edges"): _mentions_rows(mentions_partial(rewritten).to_pandas(), run_ts_us),
+        os.path.join(out_dir, "nodes", "shard=0000"): new_nodes,
+        os.path.join(out_dir, "duplicate_edges", "shard=0000"): new_dups,
+    }, fp, runs, rec["mentions"] + n_fresh)
+    return None
 
-    _unseal_link_tables(out_dir)
-    for p, t in kept.items():
-        if os.path.basename(p) != DELTA_PART:
-            gio.rewrite_file_atomic(t, p)
-    for d, rows in (
-        (edges_dir, new_edges),
-        (os.path.join(out_dir, "episodic_edges"), new_men),
-        (os.path.join(out_dir, "nodes", "shard=0000"), new_nodes),
-        (os.path.join(out_dir, "duplicate_edges", "shard=0000"), new_dups),
-    ):
-        if not rows.num_rows:
-            continue
-        path = os.path.join(d, DELTA_PART)
-        prev = kept[path] if path in kept else pq.read_table(path) if os.path.exists(path) else None
-        files = gio.part_files(d)
-        schema = pq.read_schema(files[0]) if files else rows.schema
-        rows = rows.select(schema.names).cast(schema)
-        gio.rewrite_file_atomic(rows if prev is None else pa.concat_tables([prev, rows]), path)
-    _seal_link_tables(out_dir, fp, runs, rec["mentions"] + n_fresh)
+
+def _group_link(out_dir: str, run_ts_us: int, shards: dict[str, dict], new: pa.Table, runs: set[str], rec: dict, fp: str) -> str | None:
+    """Group link route: every link row is group-scoped (entity uuids, block
+    keys, edge buckets and MENTIONS targets all carry the group), so the
+    link rows of the groups a new run writes to are re-derived from all
+    of those groups' triples, driver-side, with the full route's kernels
+    (``canonical_map``, ``CanonicalRewrite``, ``_edge_rows``, the MENTIONS
+    kernel), and replace those groups' rows in the four link tables
+    (``_fold``). It runs where the delta's canonical map cannot give the
+    full route's bytes: a new name that merges or renames entities, or a
+    block over the cap. Returns the reason the full
+    route must run instead (the groups hold more than ``DELTA_MAX_TRIPLES``
+    triple rows), or None once the tables are written and sealed."""
+    import pyarrow.dataset as pads
+
+    groups = pc.unique(new.column("group_id"))
+    old_files = [
+        p for d in shards if _run_of(d) in rec["linked_runs"]
+        for p in gio.part_files(os.path.join(out_dir, "triples", d))
+    ]
+    old = pads.dataset(old_files, format="parquet").to_table(
+        columns=TRIPLE_COLUMNS, filter=pc.field("group_id").isin(groups)
+    ) if old_files else new.slice(0, 0)
+    if old.num_rows + new.num_rows > DELTA_MAX_TRIPLES:
+        return "group too large"
+    triples = pa.concat_tables([old, new.cast(old.schema)])
+    mentions = partial_distinct_mentions(triples).to_pandas()
+    n_old = len(partial_distinct_mentions(old)) if old.num_rows else 0
+    cmap = canonical_map(mentions)
+    rewritten = CanonicalRewrite(canon_map_dict(cmap))(triples)
+
+    kept: dict[str, pa.Table] = {}
+    for d in _link_dirs(out_dir):
+        kept.update(_split_parts(d, ["group_id"], lambda k: pc.is_in(k["group_id"], value_set=groups))[0])
+    _fold(out_dir, kept, {
+        os.path.join(out_dir, "edges"): _edge_rows(merge_edge_bucket(rewritten.to_pandas()), run_ts_us),
+        os.path.join(out_dir, "episodic_edges"): _mentions_rows(mentions_partial(rewritten).to_pandas(), run_ts_us),
+        os.path.join(out_dir, "nodes", "shard=0000"): build_nodes_table(cmap, run_ts_us),
+        os.path.join(out_dir, "duplicate_edges", "shard=0000"): build_duplicate_of_edges(cmap, run_ts_us),
+    }, fp, runs, rec["mentions"] + len(mentions) - n_old)
     return None
 
 
@@ -751,17 +820,22 @@ def link_and_edges_phase(
 ) -> dict:
     """P2+P3: global canonicalization + edge build from extracted shards.
 
-    Three link routes, picked from manifests before any Ray job and named
+    Four link routes, picked from manifests before any Ray job and named
     in ``timings`` (``link_route``, and ``link_reason`` for the check that
-    forced ``full``):
+    ruled out the cheaper route):
 
     - ``unchanged``: the sealed link tables (``LINK_TABLES``) already cover
       every triples run and nobody edited them since; nothing runs.
     - ``delta``: they cover all but a few new runs (at most
       ``DELTA_MAX_TRIPLES`` triple rows, driver canonical route). The new
       runs' triples fold into the persisted tables (``_delta_link``); a
-      new mention that merges entities or renames one, a block over the
-      cap or a url recurring across runs sends the link to ``full``.
+      new mention that merges entities or renames one, or a block over the
+      cap, sends the link to ``group``; a url recurring across runs, to
+      ``full``.
+    - ``group``: the link rows of the groups the new runs write to are
+      re-derived from those groups' triples, driver-side (``_group_link``),
+      unless they hold more than ``DELTA_MAX_TRIPLES`` triple rows
+      (``full``, reason ``group too large``).
     - ``full``: one skeleton whose only branch is the canonical-map
       strategy. The distinct-mentions dataset is materialized once (it
       feeds whichever strategy runs, so the gate costs no extra shuffle)
@@ -779,14 +853,20 @@ def link_and_edges_phase(
     (episode, entity) exchange (``mentions_edges``) on ``rewritten``.
 
     Every route ends by sealing the link manifests (``_seal_link_tables``);
-    the delta and unchanged checks trust nothing else."""
+    the delta, group and unchanged checks trust nothing else."""
     timings = timings if timings is not None else {}
     t0 = time.time()
     shards = _triples_shards(out_dir)
     route, reason, rec = _choose_link_route(out_dir, run_ts_us, shards)
     if route == "delta":
-        reason = _delta_link(out_dir, run_ts_us, shards, rec, _link_fingerprint(out_dir, run_ts_us)) or ""
-        route = "full" if reason else "delta"
+        fp = _link_fingerprint(out_dir, run_ts_us)
+        new, runs = _new_run_triples(out_dir, shards, rec)
+        reason = _delta_link(out_dir, run_ts_us, new, runs, rec, fp) or ""
+        if reason == "url recurs":
+            route = "full"
+        elif reason:
+            reason = _group_link(out_dir, run_ts_us, shards, new, runs, rec, fp) or reason
+            route = "full" if reason == "group too large" else "group"
         timings["delta"] = round(time.time() - t0, 2)
     if route == "full":
         if reason == "tables edited":

@@ -91,14 +91,16 @@ class GraphService:
     in ``<out_dir>/_ingest_spool``; the background worker (the reference's
     AsyncWorker, ingest.py:13-47) drains the queue and runs the engine's
     incremental build — extract appends content-fingerprinted shards, and
-    the link phase takes one of three routes (``link_and_edges_phase``):
+    the link phase takes one of four routes (``link_and_edges_phase``):
     ``delta`` folds the new run's triples into the persisted tables,
     touching only the entities, edge buckets and MENTIONS rows it adds;
-    ``unchanged`` (a re-post of a spooled batch) writes nothing; ``full``
-    re-derives the graph from the shard union (idempotent, deterministic
-    ids) when the delta's checks fail — a new mention merging entities or
-    renaming one, a url recurring across runs, tables edited since the
-    last link. ``_job_metrics.json`` names the route and the reason.
+    ``group`` re-derives the link rows of the run's groups when a new
+    mention merges entities or renames one; ``unchanged`` (a re-post of a
+    spooled batch) writes nothing; ``full`` re-derives the graph from the
+    shard union (idempotent, deterministic ids) when a url recurs across
+    runs, the tables were edited since the last link or the groups are
+    too large for the driver.
+    ``_job_metrics.json`` names the route and the reason.
     ``flush()`` blocks until the queue drains (tests; the reference's
     queue offers no such hook)."""
 

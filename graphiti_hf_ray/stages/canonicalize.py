@@ -364,7 +364,12 @@ def canonicalize(
     (``CANON_DRIVER_MAX_MENTIONS``) and passes it here so the gate costs no
     second mention shuffle.
     """
-    mentions_df = (mentions if mentions is not None else distinct_mentions(triples)).to_pandas()
+    return canonical_map((mentions if mentions is not None else distinct_mentions(triples)).to_pandas())
+
+
+def canonical_map(mentions_df: pd.DataFrame) -> pd.DataFrame:
+    """Distinct mentions (group_id, label, surface, n) → canonical map: the
+    body of ``canonicalize`` once the mentions are on the driver."""
     if mentions_df.empty:
         # a corpus whose extraction found NO entity mentions is a valid
         # (if useless) input — an empty pandas frame loses its column

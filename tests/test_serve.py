@@ -367,11 +367,13 @@ def _link_route(out):
 def _assert_equals_fresh_full_link(out, scratch):
     """The served dir's link tables equal a full link over copies of its
     episodes and triples logs: schema and rows, whatever the row order and
-    file layout; its job metrics count the rows its tables hold."""
+    file layout; its job metrics count the rows its tables hold, and its
+    link manifests record the full link's distinct-mention count."""
     import os
     import shutil
 
     from graphiti_hf_ray import io as gio
+    from graphiti_hf_ray.pipelines.kg import LINK_TABLES as LINK_DIRS
     from graphiti_hf_ray.pipelines.kg import link_and_edges_phase
 
     shutil.rmtree(scratch, ignore_errors=True)
@@ -385,13 +387,19 @@ def _assert_equals_fresh_full_link(out, scratch):
         assert a.schema.equals(b.schema), (t, a.schema, b.schema)
         assert a.sort_by("uuid").equals(b.sort_by("uuid")), t
         assert tables[t]["rows"] == a.num_rows, t
+    for d in LINK_DIRS:
+        mentions = [gio.read_manifest(os.path.join(o, d))["mentions"] for o in (out, scratch)]
+        assert mentions[0] == mentions[1], (d, mentions)
 
 
 def test_delta_link_matches_full_link(ray_session, tmp_path_factory, monkeypatch):
     """Single-episode writes fold into the persisted link tables (delta
-    route) when the new mentions neither merge nor rename entities; every
-    other write takes the full route and says why. After every write the
-    four link tables equal a fresh full link of the same logs."""
+    route) when the new mentions neither merge nor rename entities; a write
+    that merges or renames entities re-derives its group's link rows
+    (group route), unless the group is too large (full route); a repeated
+    url takes the full route; every write says why it left the delta
+    route. After every write the four link tables equal a fresh full link
+    of the same logs."""
     import os
 
     import pyarrow as pa
@@ -419,11 +427,14 @@ def test_delta_link_matches_full_link(ray_session, tmp_path_factory, monkeypatch
     inv = gio.read_table_dir(out, "edges").to_pandas().set_index("source_name")
     assert inv.loc["Grace Hopper"].query("name == 'IS_CEO_OF'")["invalid_at"].notna().all()
     add("e6", "Ada King moved to London.", "delta")
-    add("e7", "Grace B. Hopper founded Initech.", "full", "canonical name changes")
-    add("e8", "Ada moved to Rome.", "full", "mention merges entities")
+    add("e7", "Grace B. Hopper founded Initech.", "group", "canonical name changes")
+    add("e8", "Ada moved to Rome.", "group", "mention merges entities")
     monkeypatch.setattr(kg, "DELTA_MAX_TRIPLES", 0)
     add("e9", "Marie Curie moved to Warsaw.", "full", "run too large")
+    monkeypatch.setattr(kg, "DELTA_MAX_TRIPLES", 1)
+    add("e9b", "Alan M. Turing moved to Manchester.", "full", "group too large")
     monkeypatch.undo()
+    add("e9c", "Marie S. Curie founded Radium Institute.", "group", "canonical name changes")
 
     # a build_graph input repeating an earlier run's url
     d = tmp_path_factory.mktemp("svc_delta_pages")
