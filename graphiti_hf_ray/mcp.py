@@ -28,8 +28,6 @@ import queue
 import threading
 
 import pandas as pd
-import pyarrow as pa
-import pyarrow.compute as pc
 
 from .serve import GraphService, _fact_result, _iso
 
@@ -179,14 +177,9 @@ class McpServer:
         uuids = list(res.nodes["uuid"]) if len(res.nodes) else []
         if not uuids:
             return {"message": "No relevant nodes found", "nodes": []}
-        want = pa.array(uuids)
-        rows = (
-            store.ds("nodes", columns=["uuid", "name", "summary", "labels", "group_id", "created_at", "attributes"])
-            .map_batches(
-                lambda t: t.filter(pc.is_in(t.column("uuid"), value_set=want)),
-                batch_format="pyarrow",
-            )
-            .to_pandas()
+        rows = store.fetch(
+            "nodes", uuids, ["uuid", "name", "summary", "labels", "group_id", "created_at", "attributes"],
+            group_ids,
         )
         by = {r["uuid"]: r for r in rows.to_dict("records")}
         nodes = [

@@ -1,7 +1,8 @@
 """SearchFilters (reference graphiti_core/search/search_filters.py:44-56):
 node_labels, edge_types, uuid allow-lists, and per-column date filters as
-AND-of-ORs. Applied as one vectorized Arrow predicate inside map_batches —
-filter pushdown happens before any scoring."""
+AND-of-ORs. Applied as one vectorized Arrow predicate per batch, in either
+placement of ``search.placement`` — filter pushdown happens before any
+scoring."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from typing import Any
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
+from .placement import Table, map_table
 
 
 class ComparisonOperator(Enum):
@@ -87,39 +88,40 @@ def filter_columns(filters: SearchFilters | None, kind: str) -> set[str]:
     return cols
 
 
-def apply_filters(ds: "ray.data.Dataset", filters: SearchFilters | None, kind: str) -> "ray.data.Dataset":
+def filter_batch(t: pa.Table, filters: SearchFilters, kind: str) -> pa.Table:
     """kind: 'node' applies node_labels (vs a ``labels`` list column);
     'edge' applies edge_types/uuids + the four date filter groups."""
+    mask = pa.array([True] * t.num_rows, pa.bool_())
+    if kind == "edge":
+        if filters.edge_types:
+            mask = pc.and_(mask, pc.is_in(t.column("name"), value_set=pa.array(filters.edge_types)))
+        if filters.edge_uuids:
+            mask = pc.and_(mask, pc.is_in(t.column("uuid"), value_set=pa.array(filters.edge_uuids)))
+        for col_name, groups in (
+            ("valid_at", filters.valid_at),
+            ("invalid_at", filters.invalid_at),
+            ("created_at", filters.created_at),
+            ("expired_at", filters.expired_at),
+        ):
+            if groups:
+                for or_group in groups:  # AND over groups
+                    ors = None
+                    for df_ in or_group:  # OR within group
+                        p = _date_pred(t.column(col_name), df_)
+                        ors = p if ors is None else pc.or_kleene(ors, p)
+                    if ors is not None:
+                        mask = pc.and_kleene(mask, ors)
+    elif kind == "node" and filters.node_labels:
+        want = set(filters.node_labels)
+        hit = pa.array(
+            [bool(set(ls or []) & want) for ls in t.column("labels").to_pylist()], pa.bool_()
+        )
+        mask = pc.and_(mask, hit)
+    return t.filter(mask)
+
+
+def apply_filters(data: Table, filters: SearchFilters | None, kind: str) -> Table:
+    """``filter_batch`` over a ``pa.Table`` or a Ray ``Dataset`` (lazy)."""
     if filters is None:
-        return ds
-
-    def f(t: pa.Table) -> pa.Table:
-        mask = pa.array([True] * t.num_rows)
-        if kind == "edge":
-            if filters.edge_types:
-                mask = pc.and_(mask, pc.is_in(t.column("name"), value_set=pa.array(filters.edge_types)))
-            if filters.edge_uuids:
-                mask = pc.and_(mask, pc.is_in(t.column("uuid"), value_set=pa.array(filters.edge_uuids)))
-            for col_name, groups in (
-                ("valid_at", filters.valid_at),
-                ("invalid_at", filters.invalid_at),
-                ("created_at", filters.created_at),
-                ("expired_at", filters.expired_at),
-            ):
-                if groups:
-                    for or_group in groups:  # AND over groups
-                        ors = None
-                        for df_ in or_group:  # OR within group
-                            p = _date_pred(t.column(col_name), df_)
-                            ors = p if ors is None else pc.or_kleene(ors, p)
-                        if ors is not None:
-                            mask = pc.and_kleene(mask, ors)
-        elif kind == "node" and filters.node_labels:
-            want = set(filters.node_labels)
-            hit = pa.array(
-                [bool(set(ls or []) & want) for ls in t.column("labels").to_pylist()]
-            )
-            mask = pc.and_(mask, hit)
-        return t.filter(mask)
-
-    return ds.map_batches(f, batch_format="pyarrow")
+        return data
+    return map_table(data, filter_batch, filters=filters, kind=kind)

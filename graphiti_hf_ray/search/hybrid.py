@@ -5,9 +5,15 @@ search_config_recipes.py:34-223).
 Contract: given query text (+ optional center node / bfs origins / group
 filter / SearchFilters), run the configured per-record-type searchers,
 combine with the configured reranker, truncate to limit. Candidate budget
-is 2×limit per method (search.py:205). Searchers run over the Parquet
-graph tables as streaming Ray Data passes; rerankers are driver-side numpy
-over the ≤hundreds-row candidate lists (same split as the reference).
+is 2×limit per method (search.py:205). Searchers are batch functions over
+the Parquet graph tables in one of two placements, picked per table by
+``GraphStore.route`` from its parquet footers: when the searched columns
+fit in ``SEARCH_DRIVER_MAX_BYTES`` the table is read once on the driver
+(those columns, group filter pushed down) and every searcher runs over
+that one ``pa.Table``; a larger one streams through Ray Data passes.
+``SearchResults.routes`` records the placement and its counts. BFS and
+center-node distances stay Ray Data passes. Rerankers are driver-side
+numpy over the ≤hundreds-row candidate lists (same split as the reference).
 """
 
 from __future__ import annotations
@@ -17,19 +23,30 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import pandas as pd
+import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 
-import ray
 import ray.data as rd
 
+from .. import io as gio
 from ..stages.embed import embed_text
 from .bm25 import bm25_topk
-from .filters import SearchFilters, apply_filters
+from .filters import SearchFilters, apply_filters, filter_columns
+from .placement import Table, map_table
 from .rerank import mmr, node_distance_rerank, rrf
 from .traversal import bfs_reachable, node_distances
 from .vector import cosine_topk
 
 DEFAULT_SEARCH_LIMIT = 10  # search_config.py:29
+# Driver memory budget of one search read: a table is read on the driver
+# when its searched columns take at most this many bytes, uncompressed, as
+# the parquet footers count them over the whole table (the group filter
+# only shrinks what is held). It caps memory; it is not a speed crossover,
+# since the driver placement was the faster one at every size measured
+# (BASELINE.md, "search placement crossover").
+SEARCH_DRIVER_MAX_BYTES = 256 << 20
 
 
 class SearchMethod(Enum):
@@ -118,6 +135,10 @@ class SearchResults:
     nodes: pd.DataFrame
     episodes: pd.DataFrame
     communities: pd.DataFrame
+    # per searched table, the placement that ran, the table's rows and the
+    # searched columns' bytes that chose it:
+    # {table: {"route": "driver" | "ray", "rows": n, "bytes": b}}
+    routes: dict = field(default_factory=dict)
 
 
 # --- recipes (search_config_recipes.py parity: the load-bearing subset,
@@ -216,7 +237,12 @@ ALL_RECIPES: dict[str, SearchConfig] = {
 
 
 class GraphStore:
-    """Read-side handle on a materialized graph output directory."""
+    """Read-side handle on a materialized graph output directory.
+
+    A search reads each table in one of two placements (``search.placement``),
+    chosen by the size of the columns it reads: at most
+    ``SEARCH_DRIVER_MAX_BYTES`` are read once on the driver into a
+    ``pa.Table``, more stream as a Ray ``Dataset``."""
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
@@ -224,6 +250,21 @@ class GraphStore:
             name: os.path.join(out_dir, name)
             for name in ("nodes", "edges", "episodes", "episodic_edges", "communities")
         }
+        # parquet footers by (path, mtime, size): one search routes a table
+        # up to three times, and a rewritten part file misses
+        self._footers: dict[tuple, pq.FileMetaData] = {}
+
+    def _path(self, table: str) -> str:
+        path = self._tables[table]
+        if not os.path.isdir(path):
+            raise FileNotFoundError(path)
+        return path
+
+    def _parts(self, table: str) -> list[str]:
+        parts = gio.part_files(self._path(table))
+        if not parts:
+            raise FileNotFoundError(f"no parquet under {self._tables[table]}")
+        return parts
 
     def ds(
         self,
@@ -234,22 +275,72 @@ class GraphStore:
         """``columns`` prunes the parquet read — at scale the edges table is
         dominated by ``fact_embedding`` bytes, so BM25/traversal consumers
         must name their columns instead of scanning full width."""
-        path = self._tables[table]
-        if not os.path.isdir(path):
-            raise FileNotFoundError(path)
+        path = self._path(table)
         if columns is not None and group_ids:
             columns = sorted(set(columns) | {"group_id"})
         d = rd.read_parquet(path, columns=columns)
         if group_ids:
-            import pyarrow as pa
-
-            gids = pa.array(group_ids)
-
-            def f(t):
-                return t.filter(pc.is_in(t.column("group_id"), value_set=gids))
-
-            d = d.map_batches(f, batch_format="pyarrow")
+            d = map_table(d, _rows_in, col="group_id", values=pa.array(group_ids))
         return d
+
+    def _footer(self, path: str) -> pq.FileMetaData:
+        st = os.stat(path)
+        key = (path, st.st_mtime_ns, st.st_size)
+        if key not in self._footers:
+            self._footers[key] = pq.read_metadata(path)
+        return self._footers[key]
+
+    def route(self, table: str, columns: list[str] | None = None) -> dict:
+        """``{"route": "driver" | "ray", "rows": n, "bytes": b}``: the
+        table's ``n`` rows and the ``b`` uncompressed bytes of ``columns``
+        (default: all), both from its part files' parquet footers (no data
+        read)."""
+        rows = nbytes = 0
+        for p in self._parts(table):
+            md = self._footer(p)
+            rows += md.num_rows
+            for i in range(md.num_row_groups):
+                rg = md.row_group(i)
+                for j in range(rg.num_columns):
+                    col = rg.column(j)
+                    if columns is None or col.path_in_schema.split(".")[0] in columns:
+                        nbytes += col.total_uncompressed_size
+        route = "driver" if nbytes <= SEARCH_DRIVER_MAX_BYTES else "ray"
+        return {"route": route, "rows": rows, "bytes": nbytes}
+
+    def read(
+        self,
+        table: str,
+        group_ids: list[str] | None = None,
+        columns: list[str] | None = None,
+    ) -> Table:
+        """The table in the placement ``route(table, columns)`` picks. The
+        driver placement is one pyarrow read of ``columns`` with the group
+        filter pushed into the scan."""
+        if self.route(table, columns)["route"] == "ray":
+            return self.ds(table, group_ids, columns)
+        where = pc.field("group_id").isin(group_ids) if group_ids else None
+        return pads.dataset(self._parts(table), format="parquet").to_table(columns=columns, filter=where)
+
+    def fetch(
+        self,
+        table: str,
+        uuids,
+        columns: list[str],
+        group_ids: list[str] | None = None,
+    ) -> pd.DataFrame:
+        """``columns`` (``uuid`` among them) of the rows of ``table`` whose
+        uuid is in ``uuids``, read in the placement ``read`` picks."""
+        rows = map_table(
+            self.read(table, group_ids, columns), _rows_in, col="uuid", values=pa.array(list(uuids), pa.string())
+        )
+        # reindex: a Ray placement whose blocks all filtered to nothing
+        # yields a frame with no columns
+        return rows.to_pandas().reindex(columns=list(columns))
+
+
+def _rows_in(t: pa.Table, col: str, values: pa.Array) -> pa.Table:
+    return t.filter(pc.is_in(t.column(col), value_set=values))
 
 
 def _candidates(
@@ -264,34 +355,34 @@ def _candidates(
     budget: int,
     text_col: str,
     emb_col: str | None,
-) -> list[list[str]]:
-    from .filters import filter_columns
-
+) -> tuple[list[list[str]], dict, dict]:
+    """Each method's candidate list and score map, and the route of the
+    one read of ``table`` that BM25 and cosine share."""
     kind = "edge" if table == "edges" else "node"
     needed = {"uuid"} | filter_columns(filters, kind)
     if SearchMethod.bm25 in methods:
         needed.add(text_col)
     if SearchMethod.cosine_similarity in methods and emb_col is not None:
         needed.add(emb_col)
-    ds = store.ds(table, group_ids, columns=sorted(needed))
-    ds = apply_filters(ds, filters, kind)
+    columns = sorted(needed)
+    route = store.route(table, columns)
+    data = store.read(table, group_ids, columns)
+    data = apply_filters(data, filters, kind)
     out: list[list[str]] = []
     score_maps: dict[SearchMethod, dict[str, float]] = {}
     for m in methods:
         if m == SearchMethod.bm25:
-            r = bm25_topk(ds, query, text_col=text_col, id_col="uuid", k=budget)
+            r = bm25_topk(data, query, text_col=text_col, id_col="uuid", k=budget)
             out.append(list(r["uuid"]))
             score_maps[m] = dict(zip(r["uuid"], r["score"]))
         elif m == SearchMethod.cosine_similarity and emb_col is not None:
-            r = cosine_topk(ds, qvec, emb_col=emb_col, id_col="uuid", k=budget)
+            r = cosine_topk(data, qvec, emb_col=emb_col, id_col="uuid", k=budget)
             out.append(list(r["uuid"]))
             score_maps[m] = dict(zip(r["uuid"], r["score"]))
         elif m == SearchMethod.bfs and bfs_origins:
             edges = store.ds("edges", group_ids, columns=["uuid", "source_uuid", "target_uuid"])
             reach = bfs_reachable(edges, bfs_origins)
             if table == "edges":
-                import pyarrow as pa
-
                 nodes_set = pa.array(list(reach["uuid"]) + bfs_origins)
 
                 def touches(t):
@@ -314,7 +405,7 @@ def _candidates(
                 out.append(list(reach["uuid"])[:budget])
                 # graph proximity score = 1/depth (hybrid_search.py:322-415)
                 score_maps[m] = {u: 1.0 / d for u, d in zip(reach["uuid"], reach["depth"]) if d > 0}
-    return out, score_maps
+    return out, score_maps, route
 
 
 def _rerank(
@@ -373,10 +464,11 @@ def search(
         )
 
     mention_counts = None
+    routes: dict[str, dict] = {}
 
     def finish(table: str, cfg, text_col: str, emb_col: str | None):
         nonlocal mention_counts
-        lists, score_maps = _candidates(
+        lists, score_maps, routes[table] = _candidates(
             store, table, cfg.search_methods, query, qvec, group_ids, search_filter,
             bfs_origin_node_uuids or ([center_node_uuid] if center_node_uuid else None),
             budget, text_col, emb_col,
@@ -390,16 +482,8 @@ def search(
         passage_lookup = None
         union = set().union(*lists) if lists else set()
         if union and (cfg.reranker == Reranker.mmr and emb_col or cfg.reranker == Reranker.cross_encoder):
-            import pyarrow as pa
-
-            want = pa.array(sorted(union))
             cols = ["uuid", text_col] + ([emb_col] if emb_col else [])
-            rows = (
-                store.ds(table, group_ids, columns=cols)
-                .map_batches(lambda t: t.filter(pc.is_in(t.column("uuid"), value_set=want)), batch_format="pyarrow")
-                .select_columns(cols)
-                .take_all()
-            )
+            rows = store.fetch(table, sorted(union), cols, group_ids).to_dict("records")
             if emb_col:
                 vec_lookup = {r["uuid"]: r[emb_col] for r in rows}
             passage_lookup = {r["uuid"]: r[text_col] for r in rows}
@@ -414,15 +498,9 @@ def search(
         if table == "edges" and union and cfg.reranker in (
             Reranker.node_distance, Reranker.episode_mentions
         ):
-            import pyarrow as pa
-
-            want = pa.array(sorted(union))
-            rows = (
-                store.ds(table, group_ids, columns=["uuid", "source_uuid", "episodes"])
-                .map_batches(lambda t: t.filter(pc.is_in(t.column("uuid"), value_set=want)), batch_format="pyarrow")
-                .select_columns(["uuid", "source_uuid", "episodes"])
-                .take_all()
-            )
+            rows = store.fetch(
+                table, sorted(union), ["uuid", "source_uuid", "episodes"], group_ids
+            ).to_dict("records")
             if cfg.reranker == Reranker.node_distance and center_dist is not None:
                 table_center_dist = {
                     r["uuid"]: center_dist[r["source_uuid"]]
@@ -466,5 +544,6 @@ def search(
         except FileNotFoundError:
             pass
     return SearchResults(
-        edges=results["edges"], nodes=results["nodes"], episodes=results["episodes"], communities=results["communities"]
+        edges=results["edges"], nodes=results["nodes"], episodes=results["episodes"],
+        communities=results["communities"], routes=routes,
     )

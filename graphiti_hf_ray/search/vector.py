@@ -1,11 +1,13 @@
 """Vector similarity search over a fixed-size-list embedding column
-(SURVEY.md ST3 / T7 — the FAISS-equivalent, index-free streaming form).
+(SURVEY.md ST3 / T7 — the FAISS-equivalent, index-free form).
 
-``cosine_topk`` is the exact baseline: broadcast the query via ``ray.put``,
-one numpy matmul per batch, per-batch local top-k, and a driver-side merge
-of the k-rows-per-batch candidates (never the corpus). Threshold semantics
-match the reference (DEFAULT_MIN_SCORE = 0.6, search_utils.py:69;
-normalized inner product = cosine, vector_search.py:229-285).
+``cosine_topk`` is the exact baseline: ``score_batch`` is one numpy
+matmul and a local top-k per batch, run once over a driver-side
+``pa.Table`` or per block of a Ray ``Dataset`` (``search.placement``),
+then a driver-side merge of the k-rows-per-batch candidates (never the
+corpus). Threshold semantics match the reference (DEFAULT_MIN_SCORE = 0.6,
+search_utils.py:69; normalized inner product = cosine,
+vector_search.py:229-285).
 """
 
 from __future__ import annotations
@@ -14,13 +16,24 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-import ray
-
 from ..functions.vectors import embedding_matrix, l2_normalize
+from .placement import Table, map_table, merge_topk, topk_batch
+
+
+def score_batch(
+    t: pa.Table, q: np.ndarray, emb_col: str, id_col: str, k: int, min_score: float
+) -> pa.Table:
+    """Cosine of each row's embedding with the unit query ``q``; the
+    batch's k best at or above ``min_score`` as ``(id, score)``."""
+    if not t.num_rows:  # no matrix to multiply (Ray never maps an empty batch)
+        return topk_batch(t.column(id_col), [], id_col, k)
+    sims = l2_normalize(embedding_matrix(t.column(emb_col))) @ q
+    keep = sims >= min_score
+    return topk_batch(t.column(id_col).filter(pa.array(keep)), np.round(sims[keep], 6), id_col, k)
 
 
 def cosine_topk(
-    ds: "ray.data.Dataset",
+    data: Table,
     query_vec: np.ndarray,
     emb_col: str,
     id_col: str,
@@ -28,32 +41,5 @@ def cosine_topk(
     min_score: float = 0.6,
 ) -> pd.DataFrame:
     q = l2_normalize(np.asarray(query_vec, np.float64))
-    qref = ray.put((q, k, min_score))
-
-    def score(t: pa.Table) -> pa.Table:
-        q_, k_, ms = ray.get(qref)
-        ids = t.column(id_col).combine_chunks().to_numpy(zero_copy_only=False)
-        mat = embedding_matrix(t.column(emb_col))
-        sims = l2_normalize(mat) @ q_
-        keep = sims >= ms
-        ids = np.asarray(ids, object)[keep]
-        sims = sims[keep]
-        order = np.lexsort((ids, -sims))[:k_]
-        return pa.table(
-            {
-                id_col: pa.array(ids[order].tolist(), pa.string()),
-                "score": pa.array(np.round(sims[order], 6), pa.float64()),
-            }
-        )
-
-    cands = ds.map_batches(score, batch_format="pyarrow")
-    # ≤ k rows per batch survive the map — the global merge is a
-    # k·n_batches-row frame; a driver sort beats a full sort-exchange
-    df = cands.to_pandas()
-    if df.empty:
-        return pd.DataFrame({id_col: pd.Series([], dtype=str), "score": pd.Series([], dtype="float64")})
-    return (
-        df.sort_values(["score", id_col], ascending=[False, True], kind="mergesort")
-        .head(k)
-        .reset_index(drop=True)
-    )
+    cands = map_table(data, score_batch, q=q, emb_col=emb_col, id_col=id_col, k=k, min_score=min_score)
+    return merge_topk(cands, id_col, k)

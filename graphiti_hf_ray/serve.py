@@ -10,7 +10,11 @@ parquet and runs the shard-resumable incremental build (extract appends
 shards; the link phase folds a small new run into the persisted tables,
 or re-derives them when it cannot — see ``pipelines.kg``), search goes
 through the hybrid recipe engine, deletes reuse the atomic table-dir
-filters.
+filters. Reads take ``GraphStore``'s placement: a table whose read
+columns fit in ``search.hybrid.SEARCH_DRIVER_MAX_BYTES`` is read once on
+the driver with pyarrow (search, the fact fetch of ``/search``,
+``GET /entity-edge``, ``GET /episodes``), so a request over a small graph
+starts no Ray Data job; a larger table is read through Ray Data.
 
 Routes (reference parity):
 
@@ -454,30 +458,14 @@ class GraphService:
         uuids = list(res.edges["uuid"]) if len(res.edges) else []
         if not uuids:
             return {"facts": []}
-        want = pa.array(uuids)
-        rows = (
-            store.ds("edges", columns=list(_FACT_COLS))
-            .map_batches(
-                lambda t: t.filter(pc.is_in(t.column("uuid"), value_set=want)),
-                batch_format="pyarrow",
-            )
-            .to_pandas()
-        )
+        rows = store.fetch("edges", uuids, list(_FACT_COLS), group_ids)
         by = {r["uuid"]: r for r in rows.to_dict("records")}
         return {"facts": [_fact_result(by[u]) for u in uuids if u in by]}
 
     def get_entity_edge(self, uuid: str) -> dict | None:
         from .search.hybrid import GraphStore
 
-        scalar = pa.scalar(uuid)
-        rows = (
-            GraphStore(self.out_dir)
-            .ds("edges", columns=list(_FACT_COLS))
-            .map_batches(
-                lambda t: t.filter(pc.equal(t.column("uuid"), scalar)), batch_format="pyarrow"
-            )
-            .to_pandas()
-        )
+        rows = GraphStore(self.out_dir).fetch("edges", [uuid], list(_FACT_COLS))
         if rows.empty:
             return None
         return _fact_result(rows.iloc[0].to_dict())
@@ -486,13 +474,14 @@ class GraphService:
         """GET /episodes/{group_id} (retrieve.py:36-41): latest-N by
         valid_at (retrieve_episodes semantics)."""
         from .search.hybrid import GraphStore
+        from .search.placement import top_rows
 
-        eps = (
-            GraphStore(self.out_dir)
-            .ds("episodes", group_ids=[group_id], columns=["uuid", "name", "content", "valid_at", "group_id"])
-            .sort(["valid_at", "uuid"], descending=[True, True])
-            .limit(last_n)
-            .to_pandas()
+        eps = top_rows(
+            GraphStore(self.out_dir).read(
+                "episodes", [group_id], ["uuid", "name", "content", "valid_at", "group_id"]
+            ),
+            [("valid_at", "descending"), ("uuid", "descending")],
+            last_n,
         )
         return [
             {

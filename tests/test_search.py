@@ -794,3 +794,149 @@ def test_vector_index_rebuild_sweeps_legacy_layout(ray_session, store, tmp_path_
     after = query_vector_index(idx, q, k=5, probe_hamming=2, min_score=0.0)
     assert list(after["uuid"]) == list(clean["uuid"])
     assert list(after["score"]) == list(clean["score"])
+
+
+def _parity_cases(store):
+    """(label, query, config, kwargs) for every recipe the fixture store
+    supports, searched within one group, plus filters, a zero-hit query and
+    an unknown group."""
+    import dataclasses
+
+    from graphiti_hf_ray.search.hybrid import (
+        ALL_RECIPES, EDGE_HYBRID_SEARCH_RRF, NODE_HYBRID_SEARCH_RRF,
+    )
+
+    edges = _edges_df(store)
+    center = sorted(edges["source_uuid"])[0]
+    t0 = edges.loc[edges["name"] == "IS_CEO_OF", "valid_at"].median()
+    cases = []
+    for name, cfg in ALL_RECIPES.items():
+        kwargs = {"group_ids": ["g1"]}
+        if "NODE_DISTANCE" in name or "BFS" in name or "WEIGHTED" in name:
+            kwargs["center_node_uuid"] = center
+        cases.append((name, "Ada Lovelace works at Acme", cfg, kwargs))
+    edge_filter = SearchFilters(
+        edge_types=["IS_CEO_OF"],
+        valid_at=[[DateFilter(ComparisonOperator.greater_than_equal, t0)]],
+    )
+    wide = dataclasses.replace(EDGE_HYBRID_SEARCH_RRF, limit=40)
+    cases += [
+        ("edge filter", "CEO of Acme", wide, {"search_filter": edge_filter}),
+        ("node labels", "Ada Lovelace", NODE_HYBRID_SEARCH_RRF,
+         {"search_filter": SearchFilters(node_labels=["Person"])}),
+        ("no label hit", "Ada Lovelace", NODE_HYBRID_SEARCH_RRF,
+         {"search_filter": SearchFilters(node_labels=["NoSuchLabel"])}),
+        ("zero hits", "zzqx unmatched", COMBINED_HYBRID_SEARCH_RRF, {}),
+        ("unknown group", "Ada Lovelace works at Acme", COMBINED_HYBRID_SEARCH_RRF,
+         {"group_ids": ["nosuchgroup"]}),
+    ]
+    return cases
+
+
+def test_search_driver_placement_matches_ray(ray_session, store, monkeypatch):
+    """A table whose searched columns fit in SEARCH_DRIVER_MAX_BYTES is
+    searched on the driver; the results equal the Ray placement's for every
+    recipe and filter case."""
+    from graphiti_hf_ray.search import hybrid
+
+    cases = _parity_cases(store)
+    driver = [search(store, q, cfg, **kw) for _, q, cfg, kw in cases]
+    monkeypatch.setattr(hybrid, "SEARCH_DRIVER_MAX_BYTES", 0)
+    for (label, q, cfg, kw), d in zip(cases, driver):
+        r = search(store, q, cfg, **kw)
+        # the fixture store has no communities table: community-only
+        # recipes search nothing and record no route
+        assert d.routes.keys() == r.routes.keys(), label
+        assert d.routes or not (cfg.edge_config or cfg.node_config or cfg.episode_config), label
+        for table, route in d.routes.items():
+            assert route["route"] == "driver" and r.routes[table]["route"] == "ray", label
+            assert (route["rows"], route["bytes"]) == (r.routes[table]["rows"], r.routes[table]["bytes"]), label
+            assert list(getattr(d, table)["uuid"]) == list(getattr(r, table)["uuid"]), (label, table)
+    hits = {label: len(d.edges) + len(d.nodes) for (label, *_), d in zip(cases, driver)}
+    assert hits["edge filter"] and hits["node labels"] and hits["EDGE_HYBRID_SEARCH_RRF"]
+    assert not hits["zero hits"] and not hits["unknown group"] and not hits["no label hit"]
+
+
+def test_topk_kernels_table_matches_dataset(ray_session):
+    """bm25_topk / cosine_topk over a pa.Table equal the same call over the
+    table as a several-block Ray Dataset, ties (score desc, id asc) cut by
+    k included."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    texts = ["acme works", "acme", "works at acme acme", "nothing here", "acme works"] * 6
+    ids = [f"u{(i * 7) % 30:02d}" for i in range(30)]
+    rng = np.random.default_rng(0)
+    base = rng.normal(size=(3, 8)).astype(np.float32)
+    emb = np.stack([base[i % 3] for i in range(30)])
+    t = pa.table({
+        "uuid": ids,
+        "fact": texts,
+        "emb": pa.FixedSizeListArray.from_arrays(pa.array(emb.ravel()), 8),
+    })
+    ds = rd.from_arrow([t.slice(0, 7), t.slice(7, 11), t.slice(18, 12)])
+    for k in (1, 4, 7, 30):
+        a = bm25_topk(t, "acme works", text_col="fact", id_col="uuid", k=k)
+        b = bm25_topk(ds, "acme works", text_col="fact", id_col="uuid", k=k)
+        pd.testing.assert_frame_equal(a, b)
+        assert len(a) == min(k, 24) and a["score"].is_monotonic_decreasing
+        for _, grp in a.groupby("score"):
+            assert list(grp["uuid"]) == sorted(grp["uuid"])
+        c = cosine_topk(t, base[0], emb_col="emb", id_col="uuid", k=k, min_score=-1.0)
+        d = cosine_topk(ds, base[0], emb_col="emb", id_col="uuid", k=k, min_score=-1.0)
+        pd.testing.assert_frame_equal(c, d)
+        # the ten rows embedded as base[0] tie at cosine 1.0
+        assert list(c["uuid"][: min(k, 10)]) == sorted(ids[0::3])[: min(k, 10)]
+    for data in (t.slice(0, 0), t, ds):
+        e = bm25_topk(data, "zzqx", text_col="fact", id_col="uuid", k=5)
+        assert list(e.columns) == ["uuid", "score"] and e.empty
+    e = cosine_topk(t.slice(0, 0), base[0], emb_col="emb", id_col="uuid", k=5)
+    assert list(e.columns) == ["uuid", "score"] and e.empty
+
+
+def test_search_under_gate_starts_no_ray_job(ray_session, store, monkeypatch):
+    """Search, fact fetch, entity-edge lookup and latest episodes under the
+    gate read on the driver: no Ray Data read starts."""
+    import ray.data
+
+    from graphiti_hf_ray import io as gio
+    from graphiti_hf_ray.serve import GraphService
+
+    edges = _edges_df(store)
+    uuid = edges.loc[edges["group_id"] == "g1", "uuid"].iloc[0]
+    svc = GraphService(store.out_dir)
+    want = svc.search("Ada Lovelace works at Acme", group_ids=["g1"])
+
+    def boom(*a, **kw):
+        raise AssertionError("a Ray Data read started under the gate")
+
+    monkeypatch.setattr(ray.data, "read_parquet", boom)
+    got = svc.search("Ada Lovelace works at Acme", group_ids=["g1"])
+    assert got == want and got["facts"]
+    assert svc.get_entity_edge(uuid)["uuid"] == uuid
+    eps = svc.get_episodes("g1", 3)
+    all_eps = gio.read_table_dir(store.out_dir, "episodes").to_pandas()
+    exp = all_eps[all_eps["group_id"] == "g1"].sort_values(["valid_at", "uuid"], ascending=False)
+    assert [e["uuid"] for e in eps] == list(exp["uuid"][:3])
+
+
+def test_search_routes_record_placement_rows_and_bytes(ray_session, store, monkeypatch):
+    """SearchResults.routes names each table's placement, its footer row
+    count and the footer bytes of the searched columns only; the bytes pick
+    the placement."""
+    from graphiti_hf_ray.search import hybrid
+
+    from graphiti_hf_ray import io as gio
+
+    n_edges = len(_edges_df(store))
+    n_nodes = gio.read_table_dir(store.out_dir, "nodes").num_rows
+    res = search(store, "Ada Lovelace", COMBINED_HYBRID_SEARCH_RRF)
+    edges, nodes = res.routes["edges"], res.routes["nodes"]
+    assert (edges["route"], edges["rows"]) == ("driver", n_edges)
+    assert (nodes["route"], nodes["rows"]) == ("driver", n_nodes)
+    assert set(res.routes) >= {"edges", "nodes", "episodes"}
+    # edges carries columns the search does not read (source_uuid, name, ...)
+    assert 0 < edges["bytes"] < store.route("edges")["bytes"]
+    monkeypatch.setattr(hybrid, "SEARCH_DRIVER_MAX_BYTES", edges["bytes"] - 1)
+    res = search(store, "Ada Lovelace", COMBINED_HYBRID_SEARCH_RRF)
+    assert res.routes["edges"] == {**edges, "route": "ray"}
