@@ -209,30 +209,6 @@ def sentence(d: int, j: int) -> str:
     return f"{PERSONS[person_idx(d, j)][person_variant(d, j)]} participates in {EVENTS[event_idx(d, j)]}."
 
 
-def gold_triples(d: int) -> list[tuple[str, str, str, str, str]]:
-    """Gold (subj_canonical, subj_label, pred, obj_canonical, obj_label) per doc."""
-    out = []
-    for j in range(n_sentences(d)):
-        t = template_id(d, j)
-        if t == 0:
-            out.append((PERSONS[person_idx(d, j)][0], LABEL_PERSON, "WORKS_AT", ORGS[org_idx(d, j)][0], LABEL_ORG))
-        elif t == 1:
-            out.append((PERSONS[person_idx(d, j)][0], LABEL_PERSON, "IS_CEO_OF", ORGS[org_idx(d, j)][0], LABEL_ORG))
-        elif t == 2:
-            out.append((ORGS[org_idx(d, j)][0], LABEL_ORG, "ACQUIRED", ORGS[org2_idx(d, j)][0], LABEL_ORG))
-        elif t == 3:
-            out.append((PERSONS[person_idx(d, j)][0], LABEL_PERSON, "MOVED_TO", PLACES[place_idx(d, j)], LABEL_PLACE))
-        elif t == 4:
-            out.append((PERSONS[person_idx(d, j)][0], LABEL_PERSON, "FOUNDED", ORGS[org_idx(d, j)][0], LABEL_ORG))
-        elif t == 5:
-            out.append((PERSONS[person_idx(d, j)][0], LABEL_PERSON, "COLLABORATES_ON", PROJECTS[proj_idx(d, j)], LABEL_PROJECT))
-        elif t == 6:
-            out.append((DOCTITLES[doctitle_idx(d, j)], LABEL_DOC, "AUTHORED_BY", PERSONS[person_idx(d, j)][0], LABEL_PERSON))
-        else:
-            out.append((PERSONS[person_idx(d, j)][0], LABEL_PERSON, "PARTICIPATES_IN", EVENTS[event_idx(d, j)], LABEL_EVENT))
-    return out
-
-
 def page_text(d: int, soup: str) -> str:
     sents = " ".join(sentence(d, j) for j in range(n_sentences(d)))
     return f"Document {d}\n{sents}\n{soup}"

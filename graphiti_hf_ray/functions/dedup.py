@@ -6,6 +6,19 @@ hash-partitioned ``groupby`` on the signature/bucket key → per-group
 resolution. Nothing materializes the corpus driver-side — candidate-pair
 verification runs as bucketed shuffle joins, not driver loops.
 
+Every bucketed pair generator (MinHash bands, SimHash bands, n-gram
+shingles, LSH sign buckets) runs one in-bucket kernel, ``bucket_pairs``:
+per key group the distinct ids ascending, the upper-triangle pairs once,
+the operator's score (Hamming, n-gram sizes, cosine) as a keep-mask plus
+columns. The drop rule: a capped group keeps its ``cap`` smallest ids and
+emits one sentinel row (``DROP_SENTINEL``, the key's hash, the ids left
+out); ``_strip_drops`` sums those into ``DROP_METRICS``/``metrics_out``
+and removes them. n-gram and LSH cosine pass no cap. ``embedding_neardup``
+keeps its bipartite block enumeration (the triangle would also score each
+block's intra-part pairs) and shares the cosine body (``_cosines``) with
+the LSH path. Loser and band-key membership filters are stateless tasks
+over one broadcast sorted int64 array (``_in_sorted``), no actor pools.
+
 - ``exact_dedup``            — md5(text) → groupby(hash).first (D1 analog)
 - ``exact_dedup_rows``       — row-keeping variant: one fused exchange,
                                full schema preserved (corpus stage 1)
@@ -61,6 +74,7 @@ import pyarrow.compute as pc
 
 import ray
 
+from ..stages.shuffle import bucketed_group_apply
 from .vectors import embedding_matrix, float64_array, int64_array, l2_normalize
 
 logger = logging.getLogger(__name__)
@@ -174,6 +188,23 @@ def minhash_signature(text: str) -> np.ndarray:
     return np.min(vals, axis=0)
 
 
+def _signatures(texts: list) -> np.ndarray:
+    """(n, N_PERM) MinHash signatures, a null text hashing as ''."""
+    sigs = np.empty((len(texts), N_PERM), np.uint64)
+    for i, x in enumerate(texts):
+        sigs[i] = minhash_signature(x or "")
+    return sigs
+
+
+def _band_hashes(sigs: np.ndarray, n_bands: int) -> np.ndarray:
+    """(n, n_bands) LSH band hashes: each band's N_PERM // n_bands signature
+    rows mixed by odd position weights, then scrambled."""
+    rows_per_band = N_PERM // n_bands
+    with np.errstate(over="ignore"):
+        bh = (sigs.reshape(len(sigs), n_bands, rows_per_band) * _mix_weights(rows_per_band)).sum(axis=2)
+    return _finalize(bh.astype(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -191,8 +222,6 @@ def exact_dedup(docs: "ray.data.Dataset", num_buckets: int | None = None) -> "ra
         return df.groupby("fingerprint", as_index=False, sort=False).agg(
             keep_doc_id=("doc_id", "min"), n_dups=("doc_id", "size")
         )
-
-    from ..stages.shuffle import bucketed_group_apply
 
     return bucketed_group_apply(
         docs.map_batches(add_hash, batch_format="pyarrow"), ["fingerprint"], first,
@@ -244,57 +273,94 @@ def exact_dedup_rows(
             return df.rename(columns={"_fp": keep_fp})
         return df.drop(columns=["_fp"])
 
-    from ..stages.shuffle import bucketed_group_apply
-
     return bucketed_group_apply(
         docs.map_batches(add_hash, batch_format="pyarrow"), ["_fp"], keep_first,
         num_buckets=num_buckets,
     )
 
 
-def _empty_pairs() -> pd.DataFrame:
-    return pd.DataFrame(
-        {"doc_a": pd.Series([], dtype="int64"), "doc_b": pd.Series([], dtype="int64")}
-    )
-
-
 # Driver-visible cap-drop counters (ADVICE: a log line alone is invisible
 # to callers). Updated at each function's driver sync point; sentinel rows
-# (doc_a == DROP_SENTINEL) carry per-bucket drop counts through the shuffle.
+# (id == DROP_SENTINEL) carry per-group drop counts through the shuffle.
 DROP_METRICS: dict[str, int] = {}
 DROP_SENTINEL = -1
 
 
-def _candidate_pairs_from_buckets(df: pd.DataFrame, keys: list[str], cap: int) -> pd.DataFrame:
-    """Vectorized pair emission per (band) bucket with a hard per-bucket cap.
+def bucket_pairs(
+    df: pd.DataFrame,
+    keys: list[str],
+    id_col: str,
+    cap: int | None = None,
+    score=None,
+    cols: dict[str, str] | None = None,
+) -> pd.DataFrame:
+    """The one in-bucket pair kernel of the near-dup operators (the body
+    each runs under ``stages.shuffle.bucketed_group_apply``). Per ``keys``
+    group of the bucket:
 
-    A boilerplate cluster of B docs in one band bucket would emit B²/2 pairs
-    — cap at ``cap`` docs (kept: smallest doc_ids, deterministic), LOG the
-    drop, and emit a sentinel row (doc_a = DROP_SENTINEL, doc_b = #dropped
-    docs) so callers can COUNT drops instead of trusting a log line."""
-    outs = []
-    for _, g in df.groupby(keys, sort=False):
-        ids = np.unique(np.asarray(g["doc_id"], np.int64))
+    - the distinct ``id_col`` values in ascending order, one row each;
+    - past ``cap`` ids the ``cap`` smallest are kept, the drop is logged
+      and one counted-drop sentinel row is emitted: ``doc_a =
+      DROP_SENTINEL``, ``doc_b`` = the group key's hash (so a later
+      ``(doc_a, doc_b)`` distinct keeps one per capped group), ``dropped``
+      = the ids left out. A boilerplate cluster of B docs would otherwise
+      emit B²/2 pairs;
+    - every upper-triangle pair (``doc_a < doc_b``) is enumerated once;
+    - ``score(rows, ia, ib)`` (the kept id rows and the pairs' row
+      positions) returns ``(keep mask or None, extra columns of the kept
+      pairs)``; ``cols`` gives those columns' dtypes, so an empty bucket
+      and a sentinel row carry the same schema.
+
+    Output: ``doc_a, doc_b``, the score columns and, when ``cap`` is set,
+    ``dropped`` (``_strip_drops`` counts and removes the sentinels)."""
+    schema = {"doc_a": "int64", "doc_b": "int64", **(cols or {})}
+    if cap is not None:
+        schema["dropped"] = "int64"
+    frames = []
+    for key, g in df.groupby(keys, sort=False):
+        ids, first = np.unique(g[id_col].to_numpy(np.int64), return_index=True)
+        if cap is not None and len(ids) > cap:
+            logger.warning("bucket %s: %d ids > cap %d; pairing the %d smallest", key, len(ids), cap, cap)
+            sentinel = {c: np.zeros(1, t) for c, t in schema.items()}
+            sentinel.update(doc_a=[DROP_SENTINEL], doc_b=[hash(key)], dropped=[len(ids) - cap])
+            frames.append(pd.DataFrame(sentinel))
+            ids, first = ids[:cap], first[:cap]
         if len(ids) < 2:
             continue
-        if len(ids) > cap:
-            logger.warning(
-                "LSH bucket %s: %d docs > cap %d; pairing first %d (dropped %d docs)",
-                tuple(g.iloc[0][k] for k in keys), len(ids), cap, cap, len(ids) - cap,
-            )
-            outs.append(
-                pd.DataFrame({"doc_a": [np.int64(DROP_SENTINEL)], "doc_b": [np.int64(len(ids) - cap)]})
-            )
-            ids = ids[:cap]
-        idx_a, idx_b = np.triu_indices(len(ids), k=1)
-        outs.append(pd.DataFrame({"doc_a": ids[idx_a], "doc_b": ids[idx_b]}))
-    if not outs:
-        return _empty_pairs()
-    out = pd.concat(outs, ignore_index=True)
-    keep = out["doc_a"] != DROP_SENTINEL
-    return pd.concat(
-        [out[keep].drop_duplicates(["doc_a", "doc_b"]), out[~keep]], ignore_index=True
-    )
+        ia, ib = np.triu_indices(len(ids), k=1)
+        extra = {}
+        if score is not None:
+            keep, extra = score(g.iloc[first], ia, ib)
+            if keep is not None:
+                ia, ib = ia[keep], ib[keep]
+        frame = {"doc_a": ids[ia], "doc_b": ids[ib], **extra}
+        if cap is not None:
+            frame["dropped"] = np.zeros(len(ia), np.int64)
+        frames.append(pd.DataFrame(frame))
+    if not frames:
+        return pd.DataFrame({c: pd.Series([], dtype=t) for c, t in schema.items()})
+    return pd.concat(frames, ignore_index=True)
+
+
+def _strip_drops(
+    ds: "ray.data.Dataset", key: str, metrics_out: dict | None, id_col: str = "doc_a"
+) -> "ray.data.Dataset":
+    """Sum the counted-drop sentinels' ``dropped`` into ``DROP_METRICS[key]``
+    (and ``metrics_out[key]``) and return ``ds`` without the sentinel rows
+    or the ``dropped`` column. ``ds`` is materialized: both read it."""
+    ds = ds.materialize()
+    n = int(ds.sum("dropped") or 0)
+    DROP_METRICS[key] = n
+    if metrics_out is not None:
+        metrics_out[key] = n
+    return ds.filter(expr=f"{id_col} != {DROP_SENTINEL}").drop_columns(["dropped"])
+
+
+def _in_sorted(values: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Elementwise membership of int64 ``values`` in the sorted, non-empty
+    int64 ``members`` — one ``np.searchsorted``, no per-batch set build."""
+    pos = np.minimum(np.searchsorted(members, values), len(members) - 1)
+    return members[pos] == values
 
 
 def _join_pairs_to_payload(
@@ -308,8 +374,6 @@ def _join_pairs_to_payload(
     key; the in-bucket merge is a vectorized ``Series.map``. No driver
     materialization — this is the scale shape for candidate verification.
     """
-    from ..stages.shuffle import bucketed_group_apply
-
     def tag_pairs(t: pa.Table) -> pa.Table:
         out = t.append_column("key", t.column(pair_key).cast(pa.int64()))
         return out.replace_schema_metadata(None)
@@ -376,9 +440,6 @@ def minhash_lsh_candidates(
     back-to-back runs clobber it — prefer ``metrics_out``); a nonzero count
     voids the exactness claim and should fail any oracle comparison loudly.
     """
-    rows_per_band = N_PERM // n_bands
-    band_w = _mix_weights(rows_per_band)
-
     def sig_rows(t: pa.Table) -> pa.Table:
         """Band rows carry (band_id, band_hash, doc_id) ONLY — text never
         enters the shuffle (n_bands band rows per doc would ship it n×).
@@ -388,20 +449,10 @@ def minhash_lsh_candidates(
         ids = t.column("doc_id").to_pylist()
         n = len(ids)
         if sig_col is not None:
-            sigs = np.frombuffer(
-                b"".join(t.column(sig_col).to_pylist()), "<u8"
-            ).reshape(n, N_PERM)
+            sigs = np.frombuffer(b"".join(t.column(sig_col).to_pylist()), "<u8").reshape(n, N_PERM)
         else:
-            texts = t.column("text").to_pylist()
-            sigs = np.empty((n, N_PERM), np.uint64)
-            for i, x in enumerate(texts):
-                sigs[i] = minhash_signature(x)
-        with np.errstate(over="ignore"):
-            bh = _finalize(
-                (sigs.reshape(n, n_bands, rows_per_band) * band_w[None, None, :])
-                .sum(axis=2)
-                .astype(np.uint64)
-            )
+            sigs = _signatures(t.column("text").to_pylist())
+        bh = _band_hashes(sigs, n_bands)
         return pa.table(
             {
                 "band_id": pa.array(np.tile(np.arange(n_bands, dtype=np.int32), n)),
@@ -410,38 +461,21 @@ def minhash_lsh_candidates(
             }
         )
 
-    from ..stages.shuffle import bucketed_group_apply
+    keys = ["band_id", "band_hash"]
 
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return _candidate_pairs_from_buckets(df, ["band_id", "band_hash"], max_bucket_docs)
+        return bucket_pairs(df, keys, "doc_id", cap=max_bucket_docs).drop_duplicates(["doc_a", "doc_b"])
 
     # pairs are deduped within each hash bucket here; the cross-band global
     # distinct happens per verify path (driver-side for the broadcast path,
-    # one bucketed shuffle for the join path)
-    cand_pairs = bucketed_group_apply(
-        docs.map_batches(sig_rows, batch_format="pyarrow", batch_size=512),
-        ["band_id", "band_hash"], per_bucket,
-    ).materialize()  # tiny by LSH design; reused by both verify paths
-
-    # split out cap-drop sentinels and record the counted metric at this
-    # (already present) driver sync point
-    import pyarrow.compute as _pc
-
-    def _drops(t: pa.Table) -> pa.Table:
-        m = _pc.equal(t.column("doc_a"), pa.scalar(DROP_SENTINEL, pa.int64()))
-        return pa.table({"n": pa.array([_pc.sum(_pc.if_else(m, t.column("doc_b"), pa.scalar(0, pa.int64()))).as_py() or 0], pa.int64())})
-
-    n_dropped = sum(
-        r["n"] for r in cand_pairs.map_batches(_drops, batch_format="pyarrow").take_all()
+    # one bucketed shuffle for the join path). Candidates are tiny by LSH
+    # design; the drop count is recorded at this driver sync point.
+    cand_pairs = _strip_drops(
+        bucketed_group_apply(
+            docs.map_batches(sig_rows, batch_format="pyarrow", batch_size=512), keys, per_bucket
+        ),
+        "minhash_dropped_docs", metrics_out,
     )
-    DROP_METRICS["minhash_dropped_docs"] = n_dropped
-    if metrics_out is not None:
-        metrics_out["minhash_dropped_docs"] = n_dropped
-
-    def _no_sentinels(t: pa.Table) -> pa.Table:
-        return t.filter(_pc.not_equal(t.column("doc_a"), pa.scalar(DROP_SENTINEL, pa.int64())))
-
-    cand_pairs = cand_pairs.map_batches(_no_sentinels, batch_format="pyarrow")
 
     # shingle payload per doc: sorted hash csv (the exact-Jaccard basis)
     def shingles_of(t: pa.Table) -> pa.Table:
@@ -493,13 +527,10 @@ def minhash_lsh_candidates(
             .sort_values(["doc_a", "doc_b"])
         )
         cand_pairs = ray.data.from_arrow(pa.Table.from_pandas(pairs_df[["doc_a", "doc_b"]], preserve_index=False))
-        cand_ids = np.union1d(pairs_df["doc_a"].to_numpy(), pairs_df["doc_b"].to_numpy())
-        want = pa.array(cand_ids, pa.int64())
+        cand_ids = np.union1d(pairs_df["doc_a"].to_numpy(np.int64), pairs_df["doc_b"].to_numpy(np.int64))
 
         def only_cands(t: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
-            return t.filter(pc.is_in(t.column("doc_id"), value_set=want))
+            return t.filter(pa.array(_in_sorted(int64_array(t.column("doc_id")), cand_ids)))
 
         sh_blocks = _fetch_arrow_blocks(sh_rows.map_batches(only_cands, batch_format="pyarrow"))
         sh_tbl = pa.concat_tables(sh_blocks) if sh_blocks else pa.table({"doc_id": pa.array([], pa.int64()), "sh": pa.array([], pa.string())})
@@ -600,21 +631,6 @@ def components_of_pairs(
     )
 
 
-class _DropLosers:
-    """Actor-pool stage: filter out loser doc_ids. The loser id set is
-    fetched from the object store ONCE per actor, not per batch."""
-
-    def __init__(self, losers_ref: "ray.ObjectRef", id_col: str):
-        self.value_set = pa.array(sorted(ray.get(losers_ref)), pa.int64())
-        self.id_col = id_col
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        keep = pc.invert(
-            pc.is_in(t.column(self.id_col).cast(pa.int64()), value_set=self.value_set)
-        )
-        return t.filter(keep)
-
-
 def fuzzy_dedup_rows(
     docs: "ray.data.Dataset",
     jaccard_threshold: float = 0.8,
@@ -634,9 +650,9 @@ def fuzzy_dedup_rows(
     rows being filtered when it differs from the pair key.
 
     Loser removal is gated on the loser count: at or below
-    ``broadcast_max_losers`` (~16 MB of int64 at the default) the loser id
-    set broadcasts once via ``ray.put`` and the corpus streams through one
-    actor-pool filter with ZERO shuffle; above it, a bucketed anti-join
+    ``broadcast_max_losers`` (~16 MB of int64 at the default) the sorted
+    loser ids broadcast once via ``ray.put`` and the corpus streams through
+    one stateless filter with ZERO shuffle; above it, a bucketed anti-join
     (the corpus rows shuffle once by id). ``metrics_out`` receives
     ``fuzzy_dropped_docs`` plus the pair generator's
     ``minhash_dropped_docs`` (nonzero = LSH bucket caps voided exactness
@@ -738,20 +754,19 @@ def _drop_rows_by_id(
         return docs
 
     if n_losers <= broadcast_max_losers:
-        ref = ray.put(frozenset(losers.to_pandas()["node"].astype("int64").tolist()))
-        return docs.map_batches(
-            _DropLosers,
-            fn_constructor_kwargs={"losers_ref": ref, "id_col": id_col},
-            batch_format="pyarrow",
-            concurrency=(1, 8),
-        )
+        # stateless tasks over one broadcast sorted array: each batch reads
+        # it zero-copy from local plasma (the knn.py engine rule)
+        ref = ray.put(np.sort(losers.to_pandas()["node"].to_numpy(np.int64)))
+
+        def drop_losers(t: pa.Table) -> pa.Table:
+            return t.filter(pa.array(~_in_sorted(int64_array(t.column(id_col)), ray.get(ref))))
+
+        return docs.map_batches(drop_losers, batch_format="pyarrow")
 
     # huge-loser fallback: bucketed anti-join — corpus rows and loser ids
     # co-locate on the id hash, each bucket drops the marked rows. Ships
     # the full rows through one exchange; only reached when the loser set
     # itself exceeds a broadcastable size.
-    from ..stages.shuffle import bucketed_group_apply
-
     doc_schema = _arrow_schema(docs)
     doc_cols = list(doc_schema.names)
 
@@ -815,22 +830,10 @@ def add_minhash_cols(
     pandas exchanges and the parquet state table byte-for-byte and decode
     zero-copy on the other side (``np.frombuffer``); Arrow lists degrade to
     object arrays inside the pandas bucket bodies."""
-    texts = t.column(text_col).to_pylist()
-    n = len(texts)
-    rows_per_band = N_PERM // n_bands
-    band_w = _mix_weights(rows_per_band)
-    sigs = np.empty((n, N_PERM), np.uint64)
-    for i, x in enumerate(texts):
-        sigs[i] = minhash_signature(x or "")
+    sigs = _signatures(t.column(text_col).to_pylist())
+    n = len(sigs)
     with np.errstate(over="ignore"):
-        bh = (
-            (sigs.reshape(n, n_bands, rows_per_band) * band_w[None, None, :])
-            .sum(axis=2)
-            .astype(np.uint64)
-        )
-        keys = _finalize(
-            _finalize(bh) + _GOLDEN * np.arange(1, n_bands + 1, dtype=np.uint64)
-        )
+        keys = _finalize(_band_hashes(sigs, n_bands) + _GOLDEN * np.arange(1, n_bands + 1, dtype=np.uint64))
     kb, sb = keys.astype("<u8").tobytes(), sigs.astype("<u8").tobytes()
     kw, sw = 8 * n_bands, 8 * N_PERM
     return t.append_column(
@@ -860,8 +863,6 @@ def minhash_state_rows(
 
     def uniq(df: pd.DataFrame) -> pd.DataFrame:
         return df.drop_duplicates("fp")
-
-    from ..stages.shuffle import bucketed_group_apply
 
     return bucketed_group_apply(
         docs.select_columns([text_col]).map_batches(add, batch_format="pyarrow"),
@@ -912,8 +913,6 @@ def fuzzy_cross_dedup_rows(
     ['cross_minhash_capped_docs']``) — a capped key can miss a true cross-run
     near-dup, so a nonzero count voids the screen's completeness for those
     keys. ``metrics_out['cross_fuzzy_dropped_docs']`` counts removed rows."""
-    from ..stages.shuffle import bucketed_group_apply
-
     # 1. batch band-key set → one broadcast (distinct map-side first: the
     # driver sees at most n_bands × batch-docs uint64s, gated below)
     def keys_of(t: pa.Table) -> pa.Table:
@@ -925,9 +924,7 @@ def fuzzy_cross_dedup_rows(
     )
     if not blocks:
         return fresh
-    keys = np.unique(
-        np.concatenate([b.column("k").to_numpy(zero_copy_only=False) for b in blocks])
-    ).astype(np.uint64)
+    keys = np.unique(np.concatenate([int64_array(b.column("k")) for b in blocks]))
     if keys.size > broadcast_max_keys:
         raise ValueError(
             f"append batch has {keys.size} distinct band keys > broadcast_max_keys="
@@ -935,43 +932,23 @@ def fuzzy_cross_dedup_rows(
             "fuzzy dedup broadcasts the batch's band keys), or re-prepare the base "
             "with the batch folded in"
         )
-    keys_ref = ray.put(np.sort(keys))
-
-    hits_schema = pa.schema(
-        [("bkey", pa.int64()), ("fp", pa.string()), ("sig_state", pa.binary())]
-    )
+    keys_ref = ray.put(keys)  # sorted by np.unique
 
     # 2. state scan: membership of each state doc's band keys in the batch's
     # key set; only colliding rows (one per colliding band) leave the scan
-    class _StateHits:
-        def __init__(self, ref):
-            self.keys = ray.get(ref)  # sorted uint64, fetched once per actor
+    def state_hits(t: pa.Table) -> pa.Table:
+        bk = np.frombuffer(b"".join(t.column("band_keys").to_pylist()), "<i8").reshape(-1, n_bands)
+        rows, bands = np.nonzero(_in_sorted(bk, ray.get(keys_ref)))
+        sel = t.take(rows)
+        return pa.table(
+            {
+                "bkey": pa.array(bk[rows, bands], pa.int64()),
+                "fp": sel.column("fp"),
+                "sig_state": sel.column("sig"),
+            }
+        )
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            if t.num_rows == 0:
-                return hits_schema.empty_table()
-            bk = np.frombuffer(b"".join(t.column("band_keys").to_pylist()), "<u8").reshape(
-                -1, n_bands
-            )
-            ks = self.keys
-            pos = np.searchsorted(ks, bk)
-            hit = (pos < ks.size) & (ks[np.minimum(pos, ks.size - 1)] == bk)
-            rows, bands = np.nonzero(hit)
-            if rows.size == 0:
-                return hits_schema.empty_table()
-            sel = t.take(rows)
-            return pa.table(
-                {
-                    "bkey": pa.array(bk[rows, bands].astype(np.int64), pa.int64()),
-                    "fp": sel.column("fp"),
-                    "sig_state": sel.column("sig"),
-                }
-            )
-
-    hits = state.map_batches(
-        _StateHits, fn_constructor_kwargs={"ref": keys_ref},
-        batch_format="pyarrow", concurrency=(1, 8),
-    )
+    hits = state.map_batches(state_hits, batch_format="pyarrow")
 
     # 3a. join 1 on band key: candidate (doc_id, fp, sig_state) pairs.
     # Union is schema-uniform via null padding; the bucket body caps STATE
@@ -1085,7 +1062,7 @@ def fuzzy_cross_dedup_rows(
         return pd.DataFrame(
             {
                 "node": pd.Series(nodes, dtype="int64"),
-                "n_capped": pd.Series(
+                "dropped": pd.Series(
                     [int(out_n) if v == DROP_SENTINEL else 0 for v in nodes], dtype="int64"
                 ),
             }
@@ -1094,18 +1071,13 @@ def fuzzy_cross_dedup_rows(
     tagged = cand.map_batches(pad_cand, batch_format="pyarrow").union(
         fresh.map_batches(new_sig_rows, batch_format="pyarrow")
     )
-    verdicts = bucketed_group_apply(
-        tagged, ["doc_id"], est_bucket, num_buckets=num_buckets
+    losers = _strip_drops(
+        bucketed_group_apply(tagged, ["doc_id"], est_bucket, num_buckets=num_buckets),
+        "cross_minhash_capped_docs", metrics_out, id_col="node",
     ).materialize()
-
-    n_capped_total = sum(
-        r["n_capped"] for r in verdicts.filter(expr=f"node == {DROP_SENTINEL}").take_all()
-    )
-    losers = verdicts.filter(expr=f"node != {DROP_SENTINEL}").materialize()
     n_losers = losers.count()
     if metrics_out is not None:
         metrics_out["cross_fuzzy_dropped_docs"] = n_losers
-        metrics_out["cross_minhash_capped_docs"] = int(n_capped_total)
     return _drop_rows_by_id(
         fresh, losers, n_losers, id_col=id_col,
         broadcast_max_losers=broadcast_max_losers, num_buckets=num_buckets,
@@ -1148,101 +1120,41 @@ def simhash_pairs(
     (pigeonhole: any pair within distance 3 shares at least one band) —
     PROVIDED no band bucket exceeds ``max_bucket_docs``: beyond the cap,
     excess docs are dropped from pairing (counted, not just logged — pass
-    ``metrics_out`` to receive ``simhash_dropped_docs``; nonzero means the
-    exactness claim no longer holds for the dropped docs)."""
+    ``metrics_out`` to receive ``simhash_dropped_docs``, also kept in
+    ``DROP_METRICS``; nonzero means the exactness claim no longer holds for
+    the dropped docs)."""
 
     def sig_rows(t: pa.Table) -> pa.Table:
-        ids, texts = t.column("doc_id").to_pylist(), t.column("text").to_pylist()
-        band_id, band_val, doc_id, sh = [], [], [], []
-        for d, x in zip(ids, texts):
-            s = simhash64(x)
-            for b in range(4):
-                band_id.append(b)
-                band_val.append((s >> (16 * b)) & 0xFFFF)
-                doc_id.append(d)
-                sh.append(s)
+        sh = np.array([simhash64(x) for x in t.column("text").to_pylist()], np.uint64)
+        bands = (sh[:, None] >> (np.uint64(16) * np.arange(4, dtype=np.uint64))) & np.uint64(0xFFFF)
         return pa.table(
             {
-                "band_id": pa.array(band_id, pa.int32()),
-                "band_val": pa.array(band_val, pa.int64()),
-                "doc_id": pa.array(doc_id, pa.int64()),
-                "simhash": pa.array(sh, pa.uint64()),
+                "band_id": pa.array(np.tile(np.arange(4, dtype=np.int32), len(sh))),
+                "band_val": pa.array(bands.reshape(-1).astype(np.int64)),
+                "doc_id": pa.array(np.repeat(int64_array(t.column("doc_id")), 4)),
+                "simhash": pa.array(np.repeat(sh, 4)),
             }
         )
 
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop_duplicates("doc_id").sort_values("doc_id")
-        sentinel = None
-        if len(g) > max_bucket_docs:
-            logger.warning(
-                "simhash bucket (%s,%s): %d docs > cap %d (dropped %d)",
-                g["band_id"].iloc[0], g["band_val"].iloc[0], len(g), max_bucket_docs,
-                len(g) - max_bucket_docs,
-            )
-            # sentinel keyed by the bucket (unique across buckets, so the
-            # global pair-dedupe can't collapse two buckets' counts):
-            # doc_b = bucket key, hamming = #dropped docs
-            sentinel = pd.DataFrame(
-                {
-                    "doc_a": [np.int64(DROP_SENTINEL)],
-                    "doc_b": [np.int64(int(g["band_id"].iloc[0]) * 65536 + int(g["band_val"].iloc[0]))],
-                    "hamming": [np.int64(len(g) - max_bucket_docs)],
-                }
-            )
-            g = g.head(max_bucket_docs)
-        ids = np.asarray(g["doc_id"], np.int64)
-        sigs = np.asarray(g["simhash"], np.uint64)
-        if len(ids) < 2:
-            return pd.DataFrame({"doc_a": pd.Series([], dtype="int64"), "doc_b": pd.Series([], dtype="int64"), "hamming": pd.Series([], dtype="int64")})
-        # vectorized pairwise Hamming via popcount of xor on the upper triangle
-        idx_a, idx_b = np.triu_indices(len(ids), k=1)
-        x = sigs[idx_a] ^ sigs[idx_b]
-        ham = np.zeros(len(x), np.int64)
-        for shift in range(0, 64, 8):
-            ham += np.asarray(
-                np.unpackbits((x >> np.uint64(shift)).astype(np.uint8)[:, None], axis=1).sum(axis=1),
-                np.int64,
-            )
+    def hamming(rows: pd.DataFrame, ia: np.ndarray, ib: np.ndarray):
+        sigs = rows["simhash"].to_numpy(np.uint64)
+        x = sigs[ia] ^ sigs[ib]  # popcount of the xor, one bit row per pair
+        ham = np.unpackbits(x.view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1, dtype=np.int64)
         keep = ham <= max_hamming
-        out = pd.DataFrame(
-            {"doc_a": ids[idx_a][keep], "doc_b": ids[idx_b][keep], "hamming": ham[keep]}
-        )
-        return out if sentinel is None else pd.concat([out, sentinel], ignore_index=True)
+        return keep, {"hamming": ham[keep]}
 
-    from ..stages.shuffle import bucketed_group_apply
+    keys = ["band_id", "band_val"]
 
     def per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        outs = [bucket_pairs(g) for _, g in df.groupby(["band_id", "band_val"], sort=False)]
-        if not outs:
-            return pd.DataFrame({"doc_a": pd.Series([], dtype="int64"), "doc_b": pd.Series([], dtype="int64"), "hamming": pd.Series([], dtype="int64")})
-        return pd.concat(outs, ignore_index=True)
+        return bucket_pairs(df, keys, "doc_id", cap=max_bucket_docs, score=hamming, cols={"hamming": "int64"})
 
     pairs = bucketed_group_apply(
-        docs.map_batches(sig_rows, batch_format="pyarrow", batch_size=512),
-        ["band_id", "band_val"], per_bucket,
+        docs.map_batches(sig_rows, batch_format="pyarrow", batch_size=512), keys, per_bucket
     )
     deduped = bucketed_group_apply(
         pairs, ["doc_a", "doc_b"], lambda df: df.drop_duplicates(["doc_a", "doc_b"])
     )
-
-    import pyarrow.compute as _pc
-
-    if metrics_out is not None:
-        deduped = deduped.materialize()
-
-        def _drops(t: pa.Table) -> pa.Table:
-            m = _pc.equal(t.column("doc_a"), pa.scalar(DROP_SENTINEL, pa.int64()))
-            n = _pc.sum(_pc.if_else(m, t.column("hamming"), pa.scalar(0, pa.int64()))).as_py() or 0
-            return pa.table({"n": pa.array([n], pa.int64())})
-
-        metrics_out["simhash_dropped_docs"] = sum(
-            r["n"] for r in deduped.map_batches(_drops, batch_format="pyarrow").take_all()
-        )
-
-    def _no_sentinels(t: pa.Table) -> pa.Table:
-        return t.filter(_pc.not_equal(t.column("doc_a"), pa.scalar(DROP_SENTINEL, pa.int64())))
-
-    return deduped.map_batches(_no_sentinels, batch_format="pyarrow")
+    return _strip_drops(deduped, "simhash_dropped_docs", metrics_out)
 
 
 def ngram_jaccard_pairs(docs: "ray.data.Dataset", k: int = 3, threshold: float = 0.5) -> "ray.data.Dataset":
@@ -1275,38 +1187,12 @@ def ngram_jaccard_pairs(docs: "ray.data.Dataset", k: int = 3, threshold: float =
 
     shingles = docs.map_batches(shingle_rows, batch_format="pyarrow")
 
-    from ..stages.shuffle import bucketed_group_apply
+    def sizes(rows: pd.DataFrame, ia: np.ndarray, ib: np.ndarray):
+        n = rows["n_shingles"].to_numpy(np.int64)
+        return None, {"na": n[ia], "nb": n[ib]}
 
     def co_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        outs = []
-        for _, g in df.groupby("shingle", sort=False):
-            g = g.drop_duplicates("doc_id").sort_values("doc_id")
-            if len(g) < 2:
-                continue
-            ids = np.asarray(g["doc_id"], np.int64)
-            sizes = np.asarray(g["n_shingles"], np.int64)
-            idx_a, idx_b = np.triu_indices(len(ids), k=1)
-            outs.append(
-                pd.DataFrame(
-                    {
-                        "doc_a": ids[idx_a],
-                        "doc_b": ids[idx_b],
-                        "na": sizes[idx_a],
-                        "nb": sizes[idx_b],
-                    }
-                )
-            )
-        if not outs:
-            return pd.DataFrame(
-                {
-                    "doc_a": pd.Series([], dtype="int64"),
-                    "doc_b": pd.Series([], dtype="int64"),
-                    "na": pd.Series([], dtype="int64"),
-                    "nb": pd.Series([], dtype="int64"),
-                    "n": pd.Series([], dtype="int64"),
-                }
-            )
-        out = pd.concat(outs, ignore_index=True)
+        out = bucket_pairs(df, ["shingle"], "doc_id", score=sizes, cols={"na": "int64", "nb": "int64"})
         # partial pre-aggregation: count co-occurrences within this bucket
         return out.groupby(["doc_a", "doc_b"], as_index=False, sort=False).agg(
             na=("na", "first"), nb=("nb", "first"), n=("doc_a", "size")
@@ -1337,6 +1223,19 @@ def _stack_embeddings(col) -> np.ndarray:
     pandas bodies). Arrow columns go through the zero-copy
     ``vectors.embedding_matrix`` instead."""
     return l2_normalize(np.stack([np.asarray(v, np.float64) for v in col]))
+
+
+def _cosines(col_a, col_b, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """The cosine body both embedding scorers share: unit-normalize each
+    side (``col_b=None``: the same rows), one matmul, threshold →
+    (similarities, hit mask)."""
+    ma = _stack_embeddings(col_a)
+    sims = ma @ (ma if col_b is None else _stack_embeddings(col_b)).T
+    return sims, sims >= threshold
+
+
+def _rounded(x: np.ndarray, round_dp: int | None) -> np.ndarray:
+    return x if round_dp is None else np.round(x, round_dp)
 
 
 def embedding_neardup(
@@ -1370,8 +1269,6 @@ def embedding_neardup(
             )
         return pa.concat_tables(tables)
 
-    from ..stages.shuffle import bucketed_group_apply
-
     def score_block(df: pd.DataFrame) -> pd.DataFrame:
         outs = []
         for blk, g in df.groupby("block", sort=False):
@@ -1383,21 +1280,17 @@ def embedding_neardup(
                 continue
             ids_a = np.asarray(ga["vec_id"], np.int64)
             ids_b = np.asarray(gb["vec_id"], np.int64)
-            ma = _stack_embeddings(ga["embedding"].tolist())
-            mb = _stack_embeddings(gb["embedding"].tolist())
-            sims = ma @ mb.T
+            sims, hit = _cosines(ga["embedding"].tolist(), gb["embedding"].tolist(), threshold)
             if i == j:
                 # same row set on both sides: the id inequality alone picks
                 # each unordered pair exactly once (rows are not id-sorted)
-                ia, ib = np.where((sims >= threshold) & (ids_a[:, None] < ids_b[None, :]))
-            else:
-                ia, ib = np.where(sims >= threshold)
+                hit &= ids_a[:, None] < ids_b[None, :]
+            ia, ib = np.nonzero(hit)
             if ia.size == 0:
                 continue
             va, vb = ids_a[ia], ids_b[ib]
             lo, hi = np.minimum(va, vb), np.maximum(va, vb)
-            cos = sims[ia, ib] if round_dp is None else np.round(sims[ia, ib], round_dp)
-            outs.append(pd.DataFrame({"vec_a": lo, "vec_b": hi, "cosine": cos}))
+            outs.append(pd.DataFrame({"vec_a": lo, "vec_b": hi, "cosine": _rounded(sims[ia, ib], round_dp)}))
         if not outs:
             return pd.DataFrame(
                 {
@@ -1446,7 +1339,6 @@ def weighted_neardup(
     ``docs``: (doc_id, text); ``emb``: (vec_id, embedding) with
     ``vec_id == doc_id``. Returns (doc_a, doc_b) pairs, doc_a < doc_b.
     """
-    from ..stages.shuffle import bucketed_group_apply  # noqa: F401 (join dep)
     from .joins import hash_join
 
     if w_emb == 0:
@@ -1524,33 +1416,14 @@ def embedding_neardup_lsh(
         buckets = sign_buckets(l2_normalize(embedding_matrix(t.column("embedding"))), n_planes)
         return t.append_column("lsh_bucket", pa.array(buckets, pa.int32())).replace_schema_metadata(None)
 
-    from ..stages.shuffle import bucketed_group_apply
+    def cosine(rows: pd.DataFrame, ia: np.ndarray, ib: np.ndarray):
+        sims, hit = _cosines(rows["embedding"].tolist(), None, threshold)
+        keep = hit[ia, ib]
+        return keep, {"cosine": _rounded(sims[ia[keep], ib[keep]], round_dp)}
 
     def score(df: pd.DataFrame) -> pd.DataFrame:
-        outs = []
-        for _, g in df.groupby("lsh_bucket", sort=False):
-            g = g.drop_duplicates("vec_id")
-            if len(g) < 2:
-                continue
-            ids = np.asarray(g["vec_id"], np.int64)
-            m = _stack_embeddings(g["embedding"].tolist())
-            sims = m @ m.T
-            ia, ib = np.where(np.triu(sims >= threshold, k=1))
-            keep = ids[ia] != ids[ib]
-            ia, ib = ia[keep], ib[keep]
-            lo = np.minimum(ids[ia], ids[ib])
-            hi = np.maximum(ids[ia], ids[ib])
-            cos = sims[ia, ib] if round_dp is None else np.round(sims[ia, ib], round_dp)
-            outs.append(pd.DataFrame({"vec_a": lo, "vec_b": hi, "cosine": cos}))
-        if not outs:
-            return pd.DataFrame(
-                {
-                    "vec_a": pd.Series([], dtype="int64"),
-                    "vec_b": pd.Series([], dtype="int64"),
-                    "cosine": pd.Series([], dtype="float64"),
-                }
-            )
-        return pd.concat(outs, ignore_index=True).drop_duplicates(["vec_a", "vec_b"])
+        out = bucket_pairs(df, ["lsh_bucket"], "vec_id", score=cosine, cols={"cosine": "float64"})
+        return out.drop_duplicates(["doc_a", "doc_b"]).rename(columns={"doc_a": "vec_a", "doc_b": "vec_b"})
 
     bucketed = emb.map_batches(add_bucket, batch_format="pyarrow", batch_size=1024)
     return bucketed_group_apply(bucketed, ["lsh_bucket"], score)

@@ -19,19 +19,6 @@ import pyarrow as pa
 import ray
 
 
-def _as_arrow_type(typ) -> pa.DataType:
-    """Ray ``Schema.types`` yields Arrow types for Arrow blocks but numpy
-    dtypes for pandas blocks (e.g. downstream of a map_groups shuffle);
-    normalize for null-padding. object dtype → string (the only pandas
-    object columns this engine produces are strings)."""
-    if isinstance(typ, pa.DataType):
-        return typ
-    try:
-        return pa.from_numpy_dtype(typ)
-    except (pa.ArrowNotImplementedError, TypeError):
-        return pa.string()
-
-
 def _arrow_types(ds: "ray.data.Dataset") -> dict[str, pa.DataType]:
     """Column → Arrow type for any dataset. Pandas-block schemas report
     numpy dtypes; ``object`` is ambiguous (string vs list vs struct), so

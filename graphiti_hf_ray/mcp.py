@@ -187,7 +187,8 @@ class McpServer:
                 "uuid": u,
                 "name": by[u]["name"],
                 "summary": by[u].get("summary") or "",
-                "labels": list(by[u].get("labels") or []),
+                # a list column arrives as a numpy array on a pandas row
+                "labels": [] if by[u].get("labels") is None else list(by[u]["labels"]),
                 "group_id": by[u]["group_id"],
                 "created_at": _iso(by[u]["created_at"]),
                 "attributes": json.loads(by[u].get("attributes") or "{}"),

@@ -1138,18 +1138,9 @@ def append_training_set(
             # screen reads band_keys/sig across the WHOLE state, and a
             # signature-less slot (appended before the base toggled minhash
             # tracking) would crash the read mid-append. Read-only check —
-            # it runs before any sweep.
-            kdir = os.path.join(keys_root, nm)
-            part = None
-            for dirpath, dirnames, filenames in os.walk(kdir):
-                gio._prune_tmp(dirnames)
-                part = next(
-                    (os.path.join(dirpath, f) for f in sorted(filenames) if f.endswith(".parquet")),
-                    None,
-                )
-                if part:
-                    break
-            if part is not None and "band_keys" not in pq.read_schema(part).names:
+            # it runs before any sweep, over every part's footer.
+            parts = gio.part_files(os.path.join(keys_root, nm))
+            if any("band_keys" not in pq.read_schema(p).names for p in parts):
                 raise ValueError(
                     f"append slot {nm} (batch {kman.get('batch')!r}) predates minhash "
                     "tracking — re-run that batch before appending others"

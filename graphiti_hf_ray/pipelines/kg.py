@@ -110,14 +110,6 @@ TRIPLE_COLUMNS = [
 ]
 
 
-def _pool_size() -> tuple[int, int]:
-    """Actor-pool (min, max) that can never starve task stages: each pool
-    may autoscale to at most a quarter of cluster CPUs (two pools + shuffle
-    tasks + read tasks share the node)."""
-    cpus = int(ray.cluster_resources().get("CPU", 4))
-    return (1, max(1, cpus // 4))
-
-
 def _input_files(paths: list[str]) -> list[str]:
     out = []
     for p in sorted(paths):

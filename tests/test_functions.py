@@ -648,20 +648,94 @@ def test_lsh_drop_metrics_counted(ray_session):
     sentinel rows never leak into the pair output."""
     from graphiti_hf_ray.functions.dedup import DROP_METRICS, minhash_lsh_candidates
 
-    # 12 identical docs in one band bucket with cap 8 → 4 dropped
+    # 12 identical docs share every band bucket; cap 8 drops 4 docs per
+    # bucket: 8 MinHash bands → 32, 4 SimHash bands → 16
     docs = pd.DataFrame({"doc_id": np.arange(12, dtype=np.int64), "text": ["a b c d e f g h"] * 12})
     out = minhash_lsh_candidates(
         rd.from_pandas(docs), jaccard_threshold=0.5, max_bucket_docs=8
     ).to_pandas()
-    assert DROP_METRICS["minhash_dropped_docs"] > 0
+    assert DROP_METRICS["minhash_dropped_docs"] == 32
     assert (out["doc_a"] >= 0).all() and (out["doc_b"] >= 0).all()
 
     from graphiti_hf_ray.functions.dedup import simhash_pairs
 
     metrics: dict = {}
     out2 = simhash_pairs(rd.from_pandas(docs), max_bucket_docs=8, metrics_out=metrics).to_pandas()
-    assert metrics["simhash_dropped_docs"] > 0
+    assert metrics["simhash_dropped_docs"] == 16
     assert (out2["doc_a"] >= 0).all()
+    assert len(out2) == len(out2.drop_duplicates(["doc_a", "doc_b"])) == 28  # C(8, 2)
+
+
+def test_bucket_pair_kernel_matches_bruteforce(ray_session):
+    """SimHash (Hamming <= 3), 3-gram Jaccard and the LSH cosine path each
+    equal a driver brute force, on a fixture whose near-copy cluster
+    crowds one bucket while the other docs spread out. Rows arrive out of
+    id order, so the in-bucket ascending-id rule is exercised too."""
+    from graphiti_hf_ray.functions.dedup import embedding_neardup_lsh, ngram_jaccard_pairs
+    from graphiti_hf_ray.functions.knn import sign_buckets
+    from graphiti_hf_ray.functions.vectors import l2_normalize
+
+    rng = np.random.default_rng(5)
+    words = [f"w{i}" for i in range(400)]
+    base = list(rng.choice(words, 200))
+    texts = []
+    for i in range(12):  # near-copies: one to four tokens swapped each
+        toks = list(base)
+        for k in range(1 + i % 4):
+            toks[(7 * i + 31 * k) % 200] = f"x{i}_{k}"
+        texts.append(" ".join(toks))
+    texts += [" ".join(rng.choice(words, 200)) for _ in range(12)]
+    ids = np.arange(0, 72, 3, dtype=np.int64)
+    order = rng.permutation(len(ids))
+    docs = rd.from_pandas(pd.DataFrame({"doc_id": ids[order], "text": [texts[i] for i in order]}))
+
+    def pairs_where(pred) -> set:
+        return {
+            (int(ids[a]), int(ids[b]), pred(a, b))
+            for a in range(len(ids)) for b in range(a + 1, len(ids))
+            if pred(a, b) is not None
+        }
+
+    sh = [simhash64(x) for x in texts]
+
+    def ham(a, b):
+        d = bin(sh[a] ^ sh[b]).count("1")
+        return d if d <= 3 else None
+
+    expect = pairs_where(ham)
+    got = simhash_pairs(docs, max_hamming=3).to_pandas()
+    assert expect and set(zip(got["doc_a"], got["doc_b"], got["hamming"])) == expect
+    assert len(got) == len(expect)
+
+    grams = [set(_token_hashes(x, 3).tolist()) for x in texts]
+
+    def jac(a, b):
+        j = len(grams[a] & grams[b]) / len(grams[a] | grams[b])
+        return float(np.round(j, 6)) if j >= 0.9 else None
+
+    expect = pairs_where(jac)
+    got = ngram_jaccard_pairs(docs, k=3, threshold=0.9).to_pandas()
+    assert expect and set(zip(got["doc_a"], got["doc_b"], got["jaccard"])) == expect
+    assert len(got) == len(expect)
+
+    center = rng.normal(size=8)
+    vecs = np.vstack([center + 0.05 * rng.normal(size=(12, 8)), rng.normal(size=(12, 8))])
+    unit = l2_normalize(vecs)
+    bucket = sign_buckets(unit, 4)
+    sims = unit @ unit.T
+    expect = {
+        (int(ids[a]), int(ids[b]))
+        for a in range(len(ids)) for b in range(a + 1, len(ids))
+        if bucket[a] == bucket[b] and sims[a, b] >= 0.9
+    }
+    assert np.bincount(bucket).max() >= 12  # the crowded bucket
+    emb = rd.from_pandas(pd.DataFrame({"vec_id": ids[order], "embedding": list(vecs[order])}))
+    got = embedding_neardup_lsh(emb, threshold=0.9).to_pandas()
+    assert expect and set(zip(got["vec_a"], got["vec_b"])) == expect
+    assert len(got) == len(expect)
+    pos = {int(v): i for i, v in enumerate(ids)}
+    want = [sims[pos[a], pos[b]] for a, b in zip(got["vec_a"], got["vec_b"])]
+    np.testing.assert_allclose(got["cosine"], want, atol=2e-6)
 
 
 def test_asof_join_left_row_own_twin_tie(ray_session):

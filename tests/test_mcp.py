@@ -171,6 +171,42 @@ def test_json_source_and_status_and_clear(mcp):
     assert is_err or eps == {"message": "No episodes found for group jsongrp", "episodes": []}
 
 
+def test_search_nodes_reads_multi_label_node(ray_session, tmp_path_factory):
+    """A node carrying two labels (canonicalization unions labels) reads
+    back as a list: pandas hands the list column over as a numpy array."""
+    import os
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from graphiti_hf_ray import io as gio
+    from graphiti_hf_ray.mcp import McpServer
+
+    out = str(tmp_path_factory.mktemp("mcp_labels"))
+    first = McpServer(out, default_group_id="agents")
+    _tool(first, "add_memory", {"name": "n1", "episode_body": "Ada Lovelace works at Acme Corporation."})
+    first.flush()
+
+    for part in gio.part_files(os.path.join(out, "nodes")):
+        t = pq.read_table(part)
+        labels = [
+            ["Person", "Organization"] if name == "Ada Lovelace" else lab
+            for name, lab in zip(t.column("name").to_pylist(), t.column("labels").to_pylist())
+        ]
+        i = t.schema.get_field_index("labels")
+        t = t.set_column(i, t.schema.field(i), pa.array(labels, t.schema.field(i).type))
+        pq.write_table(t, part + ".tmp")
+        os.replace(part + ".tmp", part)
+
+    is_err, nodes = _tool(
+        McpServer(out, default_group_id="agents"), "search_memory_nodes",
+        {"query": "Ada Lovelace", "group_ids": ["agents"], "max_nodes": 5},
+    )
+    assert not is_err, nodes
+    n0 = next(n for n in nodes["nodes"] if n["name"] == "Ada Lovelace")
+    assert n0["labels"] == ["Person", "Organization"]
+
+
 def test_stdio_transport(ray_session, tmp_path_factory):
     """The newline-delimited stdio pump speaks the same protocol."""
     from graphiti_hf_ray.mcp import serve_stdio

@@ -1737,6 +1737,45 @@ def test_append_training_set_fuzzy(ray_session, tmp_path):
         )
 
 
+def test_append_refuses_slot_with_signature_less_later_part(ray_session, tmp_path):
+    """The append-slot signature check reads every part file's schema: a
+    keys slot whose first part carries band_keys but a later part does not
+    is refused before any sweep, leaving every file in place."""
+    import numpy as np
+    import pyarrow as pa
+    import ray.data as rd
+
+    from graphiti_hf_ray.pipelines.corpus import append_training_set, prepare_training_set
+
+    rng = np.random.default_rng(23)
+    words = [f"w{i}" for i in range(100)]
+    mk = lambda: " ".join(rng.choice(words, 40))  # noqa: E731
+    base = pd.DataFrame({"doc_id": np.arange(3, dtype=np.int64), "text": [mk() for _ in range(3)]})
+    out = str(tmp_path / "tset")
+    common = dict(lang_allow=(), min_tokens=5, max_tokens=16, overlap=0, pack_budget=24)
+    prepare_training_set(
+        rd.from_pandas(base), [], out, track_doc_keys=True, track_minhash_jaccard=0.7, **common
+    )
+    b1 = pd.DataFrame({"doc_id": np.array([100], dtype=np.int64), "text": [mk()]})
+    append_training_set(rd.from_pandas(b1), [], out, fingerprint="crawl-1", **common)
+
+    kroot = os.path.join(out, "doc_keys")
+    (slot,) = [n for n in os.listdir(kroot) if n.startswith("append-")]
+    parts = gio.part_files(os.path.join(kroot, slot))
+    assert "band_keys" in pq.read_schema(parts[0]).names
+    fps = pq.read_table(parts[0], columns=["fp"])
+    pq.write_table(pa.table({"fp": fps.column("fp")}), os.path.join(os.path.dirname(parts[-1]), "zz-legacy.parquet"))
+
+    def tree() -> list[str]:
+        return sorted(os.path.join(d, f) for d, _, fs in os.walk(out) for f in fs)
+
+    before = tree()
+    b2 = pd.DataFrame({"doc_id": np.array([200], dtype=np.int64), "text": [mk()]})
+    with pytest.raises(ValueError, match="predates minhash tracking"):
+        append_training_set(rd.from_pandas(b2), [], out, fingerprint="crawl-2", **common)
+    assert tree() == before
+
+
 def test_append_minhash_toggle_sweeps_appends(ray_session, tmp_path):
     """Toggling track_minhash_jaccard on a set with existing appends
     sweeps every append slot (packs AND keys): stranded pack slots would
