@@ -999,19 +999,20 @@ def fuzzy_cross_dedup_rows(
                     "doc_id": pd.Series([], dtype="int64"),
                     "fp": pd.Series([], dtype=object),
                     "sig_state": pd.Series([], dtype=object),
+                    "dropped": pd.Series([], dtype="int64"),
                 }
             )
         capped = st.sort_values(["bkey", "fp"], kind="stable").groupby("bkey").head(max_key_docs)
         n_capped = len(st) - len(capped)
         pairs = capped.merge(nw, on="bkey").drop_duplicates(["doc_id", "fp"])[
             ["doc_id", "fp", "sig_state"]
-        ]
+        ].assign(dropped=0)
         if n_capped:
             pairs = pd.concat(
                 [
                     pairs,
                     pd.DataFrame(
-                        {"doc_id": [DROP_SENTINEL], "fp": [str(n_capped)], "sig_state": [b""]}
+                        {"doc_id": [DROP_SENTINEL], "fp": [None], "sig_state": [b""], "dropped": [n_capped]}
                     ),
                 ],
                 ignore_index=True,
@@ -1028,6 +1029,7 @@ def fuzzy_cross_dedup_rows(
                 "doc_id": t.column(id_col).cast(pa.int64()),
                 "fp": pa.nulls(t.num_rows, pa.string()),
                 "sig_state": t.column("sig"),
+                "dropped": pa.array(np.zeros(t.num_rows, np.int64), pa.int64()),
                 "_side": pa.array(np.ones(t.num_rows, np.int8), pa.int8()),
             }
         )
@@ -1040,6 +1042,7 @@ def fuzzy_cross_dedup_rows(
             "doc_id": t.column("doc_id").cast(pa.int64()),
             "fp": t.column("fp").cast(pa.string()),
             "sig_state": t.column("sig_state").cast(pa.binary()),
+            "dropped": t.column("dropped").cast(pa.int64()),
             "_side": pa.array(np.zeros(t.num_rows, np.int8), pa.int8()),
         }
         return pa.table(cols)
@@ -1047,7 +1050,7 @@ def fuzzy_cross_dedup_rows(
     def est_bucket(df: pd.DataFrame) -> pd.DataFrame:
         cands = df.loc[(df["_side"] == 0) & (df["doc_id"] != DROP_SENTINEL)]
         sent = df.loc[(df["_side"] == 0) & (df["doc_id"] == DROP_SENTINEL)]
-        out_n = sent["fp"].astype("int64").sum() if not sent.empty else 0
+        out_n = int(sent["dropped"].sum())
         mine = df.loc[df["_side"] == 1, ["doc_id", "sig_state"]]
         nodes: list[int] = []
         if not cands.empty and not mine.empty:

@@ -7,9 +7,10 @@ engine's pipelines take any callable class with the same batch contract.
 This module provides the drop-in classes for the standard open-weights
 stack — lazy-imported so the engine has zero hard dependency on torch:
 
-- ``SentenceTransformerEmbedder`` — sentence-transformers model as the
-  ``Embedder`` actor-pool stage (same (text_col, out_col) signature;
-  swap it into ``map_batches(..., concurrency=N, num_gpus=...)``).
+- ``SentenceTransformerEmbedder`` — sentence-transformers model in place
+  of ``stages/embed.Embedder`` (same (text_col, out_col) signature); its
+  weights make it an actor-pool stage:
+  ``map_batches(..., concurrency=N, num_gpus=...)``.
 - ``BGECrossEncoderClient``      — ``.rank(query, [(id, passage)])``
   client for ``search/rerank.CrossEncoderScore`` backed by a
   sentence-transformers ``CrossEncoder`` (BGE reranker).

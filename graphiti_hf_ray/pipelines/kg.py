@@ -27,7 +27,10 @@ persisted tables driver-side — the TS8 incremental write
 edges against existing ones only; ``unchanged`` writes nothing. Where the
 delta could not give the full route's bytes (a new name merges or renames
 entities), ``group`` re-derives the link rows of the run's groups alone,
-driver-side; only groups too large for the driver take ``full``.
+driver-side; only groups too large for the driver take ``full``. A full
+link whose triples fit the same budget (``DELTA_MAX_TRIPLES``) runs the
+group route's derive step over every triple as one Ray task; a larger one
+runs as Ray Data jobs.
 
 Ray session ownership: these functions NEVER call ray.init/shutdown —
 callers (bench.py, tests, the driver) own the session.
@@ -767,14 +770,13 @@ def _group_link(out_dir: str, run_ts_us: int, shards: dict[str, dict], new: pa.T
     """Group link route: every link row is group-scoped (entity uuids, block
     keys, edge buckets and MENTIONS targets all carry the group), so the
     link rows of the groups a new run writes to are re-derived from all
-    of those groups' triples, driver-side, with the full route's kernels
-    (``canonical_map``, ``CanonicalRewrite``, ``_edge_rows``, the MENTIONS
-    kernel), and replace those groups' rows in the four link tables
-    (``_fold``). It runs where the delta's canonical map cannot give the
-    full route's bytes: a new name that merges or renames entities, or a
-    block over the cap. Returns the reason the full
-    route must run instead (the groups hold more than ``DELTA_MAX_TRIPLES``
-    triple rows), or None once the tables are written and sealed."""
+    of those groups' triples, driver-side (``_derive_link_rows``), and
+    replace those groups' rows in the four link tables (``_fold``). It
+    runs where the delta's canonical map cannot give the full route's
+    bytes: a new name that merges or renames entities, or a block over the
+    cap. Returns the reason the full route must run instead (the groups
+    hold more than ``DELTA_MAX_TRIPLES`` triple rows), or None once the
+    tables are written and sealed."""
     import pyarrow.dataset as pads
 
     groups = pc.unique(new.column("group_id"))
@@ -787,22 +789,47 @@ def _group_link(out_dir: str, run_ts_us: int, shards: dict[str, dict], new: pa.T
     ) if old_files else new.slice(0, 0)
     if old.num_rows + new.num_rows > DELTA_MAX_TRIPLES:
         return "group too large"
-    triples = pa.concat_tables([old, new.cast(old.schema)])
-    mentions = partial_distinct_mentions(triples).to_pandas()
+    rows_of, n_mentions = _derive_link_rows(pa.concat_tables([old, new.cast(old.schema)]), run_ts_us)
     n_old = len(partial_distinct_mentions(old)) if old.num_rows else 0
-    cmap = canonical_map(mentions)
-    rewritten = CanonicalRewrite(canon_map_dict(cmap))(triples)
 
     kept: dict[str, pa.Table] = {}
     for d in _link_dirs(out_dir):
         kept.update(_split_parts(d, ["group_id"], lambda k: pc.is_in(k["group_id"], value_set=groups))[0])
     _fold(out_dir, kept, {
-        os.path.join(out_dir, "edges"): _edge_rows(merge_edge_bucket(rewritten.to_pandas()), run_ts_us),
-        os.path.join(out_dir, "episodic_edges"): _mentions_rows(mentions_partial(rewritten).to_pandas(), run_ts_us),
-        os.path.join(out_dir, "nodes", "shard=0000"): build_nodes_table(cmap, run_ts_us),
-        os.path.join(out_dir, "duplicate_edges", "shard=0000"): build_duplicate_of_edges(cmap, run_ts_us),
-    }, fp, runs, rec["mentions"] + len(mentions) - n_old)
+        os.path.join(out_dir, t): rows for t, rows in rows_of.items()
+    }, fp, runs, rec["mentions"] + n_mentions - n_old)
     return None
+
+
+def _derive_link_rows(triples: pa.Table, run_ts_us: int) -> tuple[dict[str, pa.Table], int]:
+    """Triples of whole groups → those groups' rows of the four link tables
+    (keyed by ``LINK_TABLES`` entry) and their distinct-mention count, in
+    one process: ``canonical_map`` over the distinct mentions,
+    ``CanonicalRewrite``, ``merge_edge_bucket`` → ``_edge_rows``, the
+    MENTIONS kernel over every rewritten row (exact whatever the shard
+    layout) and the node and IS_DUPLICATE_OF builders. Every link row is
+    group-scoped, so the rows of every triple are the whole tables."""
+    mentions = partial_distinct_mentions(triples).to_pandas()
+    cmap = canonical_map(mentions)
+    rewritten = CanonicalRewrite(canon_map_dict(cmap))(triples)
+    return dict(zip(LINK_TABLES, (
+        build_nodes_table(cmap, run_ts_us),
+        _edge_rows(merge_edge_bucket(rewritten.to_pandas()), run_ts_us),
+        _mentions_rows(mentions_partial(rewritten).to_pandas(), run_ts_us),
+        build_duplicate_of_edges(cmap, run_ts_us),
+    ))), len(mentions)
+
+
+def _link_task(out_dir: str, run_ts_us: int, fp: str) -> int:
+    """Task placement of the full route, run as one Ray task: every
+    triple through ``_derive_link_rows``, one atomic shard write per link
+    table into the dirs the Ray placement writes. Returns the
+    distinct-mention count; the caller seals the tables."""
+    triples = _read_parts(os.path.join(out_dir, "triples"), TRIPLE_COLUMNS)
+    rows_of, n_mentions = _derive_link_rows(triples, run_ts_us)
+    for t, rows in rows_of.items():
+        gio.write_shard_atomic(rows, os.path.join(out_dir, t), fp)
+    return n_mentions
 
 
 def link_and_edges_phase(
@@ -828,21 +855,30 @@ def link_and_edges_phase(
       re-derived from those groups' triples, driver-side (``_group_link``),
       unless they hold more than ``DELTA_MAX_TRIPLES`` triple rows
       (``full``, reason ``group too large``).
-    - ``full``: one skeleton whose only branch is the canonical-map
-      strategy. The distinct-mentions dataset is materialized once (it
-      feeds whichever strategy runs, so the gate costs no extra shuffle)
-      and a streaming ``count()`` on it picks the route: above
+    - ``full``: every link table re-derived from the triples union, in one
+      of two placements (``_full_link``), picked from the triples
+      manifests' row sum (``timings``: ``link_placement``,
+      ``link_triples``). ``task``: at most ``DELTA_MAX_TRIPLES`` rows
+      whose mentions stay under ``CANON_DRIVER_MAX_MENTIONS`` go through
+      the group route's derive step (``_derive_link_rows``) in one Ray
+      task (``_link_task``): no Ray Data job, no exchange. ``ray``: one
+      skeleton whose only branch is the canonical-map strategy. The
+      distinct-mentions dataset is materialized once (it feeds whichever
+      strategy runs, so the gate costs no extra shuffle) and a streaming
+      ``count()`` on it picks the route: above
       ``CANON_DRIVER_MAX_MENTIONS`` the distributed strategy
       (``_distributed_canon``) keeps the map a Dataset; below it the
       driver broadcast strategy (``_driver_canon``, faster in the
-      vocabulary-sized regime) runs. Both write the same rows with the
-      same schemas. ``timings`` names the routes taken: ``canon_path``
-      and ``mentions_path``.
+      vocabulary-sized regime) runs. All three write the same rows with
+      the same schemas. ``timings`` names the routes taken:
+      ``canon_path`` and ``mentions_path`` (``task`` on the task
+      placement).
 
-    MENTIONS is one kernel over rewritten rows in one of two placements:
-    per-shard (``mentions_edges_per_shard``, no exchange) when a broadcast
-    map exists and triples/ holds one run fingerprint, else behind one
-    (episode, entity) exchange (``mentions_edges``) on ``rewritten``.
+    MENTIONS is one kernel over rewritten rows. On the Ray placement it
+    runs per-shard (``mentions_edges_per_shard``, no exchange) when a
+    broadcast map exists and triples/ holds one run fingerprint, else
+    behind one (episode, entity) exchange (``mentions_edges``) on
+    ``rewritten``; the task placement runs it once over every row.
 
     Every route ends by sealing the link manifests (``_seal_link_tables``);
     the delta, group and unchanged checks trust nothing else."""
@@ -865,7 +901,7 @@ def link_and_edges_phase(
             # the edit may have left a manifest whose fingerprint the full
             # route would otherwise take as already written
             _unseal_link_tables(out_dir)
-        _full_link(out_dir, run_ts_us, timings, time.time(), {_run_of(d) for d in shards})
+        _full_link(out_dir, run_ts_us, timings, shards)
     timings["link_route"], timings["link_reason"] = route, reason
 
     metrics = gio.job_metrics(out_dir)
@@ -875,8 +911,34 @@ def link_and_edges_phase(
     return metrics
 
 
-def _full_link(out_dir: str, run_ts_us: int, timings: dict, t0: float, runs: set[str]) -> None:
-    """The full route: re-derive every link table from the triples union."""
+def _full_link(out_dir: str, run_ts_us: int, timings: dict, shards: dict[str, dict]) -> None:
+    """The full route: re-derive every link table from the triples union.
+    Triples that fit ``DELTA_MAX_TRIPLES`` (the budget under which the group
+    route holds a link's triples in one process) and whose mentions cannot
+    reach the distributed canonical route run as one Ray task
+    (``_link_task``): off the driver, whose heap would otherwise keep the
+    freed frames of each build, and with no Ray Data job or exchange.
+    Larger ones take the Ray placement (``_ray_link``)."""
+    from ..stages.canonicalize import CANON_DRIVER_MAX_MENTIONS
+
+    t0 = time.time()
+    runs = {_run_of(d) for d in shards}
+    n_triples = sum(m.get("rows", 0) for m in shards.values())
+    # each triple row adds at most two distinct mentions
+    task = n_triples <= DELTA_MAX_TRIPLES and 2 * n_triples <= CANON_DRIVER_MAX_MENTIONS
+    timings["link_placement"], timings["link_triples"] = ("task" if task else "ray"), n_triples
+    if not task:
+        _ray_link(out_dir, run_ts_us, timings, t0, runs)
+        return
+    fp = _link_fingerprint(out_dir, run_ts_us)
+    n_mentions = ray.get(ray.remote(num_cpus=1)(_link_task).remote(out_dir, run_ts_us, fp))
+    timings["canon_path"], timings["mentions_path"] = "driver", "task"
+    timings["link_task"] = round(time.time() - t0, 2)
+    _seal_link_tables(out_dir, fp, runs, n_mentions)
+
+
+def _ray_link(out_dir: str, run_ts_us: int, timings: dict, t0: float, runs: set[str]) -> None:
+    """The full route's Ray placement: Ray Data jobs over the triples."""
     from ..stages.canonicalize import CANON_DRIVER_MAX_MENTIONS
 
     cpus = int(ray.cluster_resources().get("CPU", 8))

@@ -7,9 +7,11 @@ space normalization kept). Character-trigram feature hashing into
 L2-normalized — identical vectors in every process, so dedup-threshold tests
 (node cos ≥ 0.8, edge cos ≥ 0.6 — bulk_utils.py:258, 347) are reproducible.
 
-Deployed as an actor-pool ``map_batches`` stage (``Embedder`` below) adding
-a fixed-size-list column; a real model drops in by replacing the class
-(same signature), e.g. with ``num_gpus=…`` on the stage.
+``Embedder`` below adds a fixed-size-list column to an Arrow batch. Every
+caller runs it as a stateless ``map_batches`` function or calls it on one
+table; the trigram cache is module-global, so it fills once per process. A
+real model drops in by replacing the class (same signature), e.g. with
+``num_gpus=…`` on the stage.
 """
 
 from __future__ import annotations
@@ -53,9 +55,9 @@ def embed_many(texts, dim: int = EMBED_DIM) -> np.ndarray:
 
 
 class Embedder:
-    """Actor-pool stage: add ``<out_col>`` fixed-size-list<float32, D> column
-    embedding ``<text_col>``. Model state (here: the trigram cache) lives in
-    the actor, loaded once in ``__init__``."""
+    """Batch function: add ``<out_col>`` fixed-size-list<float32, D> column
+    embedding ``<text_col>``. It holds no model state; the trigram cache is
+    module-global, one per process."""
 
     def __init__(self, text_col: str, out_col: str, dim: int = EMBED_DIM):
         self.text_col, self.out_col, self.dim = text_col, out_col, dim

@@ -7,13 +7,15 @@ at a given sf_dir and compare against oracle_sql() via DuckDB
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
 import duckdb
 import pandas as pd
 
-sys.path.insert(0, "/root/repo")
+# this checkout first, so a run from a second checkout checks that one
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()
 

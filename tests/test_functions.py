@@ -159,6 +159,25 @@ def test_minhash_state_and_cross_dedup(ray_session):
     ).materialize()
     assert m2["cross_minhash_capped_docs"] > 0
 
+    # exact count: three state docs share ONE band key with batch doc 7 and
+    # no other key with the batch, so max_key_docs=1 leaves 2 of them out
+    rows = batch.to_pandas().set_index("doc_id")
+    key7 = np.frombuffer(rows.loc[7, "band_keys"], "<i8")
+    rng = np.random.default_rng(0)
+    hot_keys = []
+    for _ in range(3):
+        k = rng.integers(1, 2**62, key7.size, dtype=np.int64)
+        k[0] = key7[0]
+        hot_keys.append(k.tobytes())
+    state_one = rd.from_pandas(
+        pd.DataFrame({"fp": ["a", "b", "c"], "band_keys": hot_keys, "sig": [rows.loc[8, "sig"]] * 3})
+    )
+    m3: dict = {}
+    fuzzy_cross_dedup_rows(
+        batch, state_one, 0.7, max_key_docs=1, metrics_out=m3
+    ).materialize()
+    assert m3["cross_minhash_capped_docs"] == 2
+
     # oversized batch refuses the broadcast (the operational gate)
     with pytest.raises(ValueError, match="smaller batches"):
         fuzzy_cross_dedup_rows(batch, state, 0.7, broadcast_max_keys=1)

@@ -268,29 +268,43 @@ def test_resume_reuses_persisted_shard_plan(ray_session, pages_parquet, tmp_path
     )
 
 
-def test_multi_run_shared_urls_route_generic_mentions(ray_session, pages_parquet, graph_out, tmp_path_factory):
-    """A url recurring across appended runs breaks the per-shard MENTIONS
-    exactness invariant (episode ⊂ one shard FILE only holds within a
-    run); the link phase must detect the multi-run layout and route
-    through the exchange placement — no duplicate MENTIONS rows."""
+def _overlapping_halves(pages_parquet, tmp_path_factory) -> tuple[str, str]:
+    """The fixture pages split in two inputs sharing 4 urls."""
     pg = pq.read_table(pages_parquet)
     half = pg.num_rows // 2
     d = tmp_path_factory.mktemp("overlap")
     p1, p2 = str(d / "p1.parquet"), str(d / "p2.parquet")
     pq.write_table(pg.slice(0, half + 2), p1)
-    pq.write_table(pg.slice(half - 2), p2)  # 4 urls shared with p1
+    pq.write_table(pg.slice(half - 2), p2)
+    return p1, p2
 
-    out = str(tmp_path_factory.mktemp("overlap_graph"))
-    build_graph([p1], out, num_shards=2)
-    metrics = build_graph([p2], out, num_shards=2)
-    assert metrics["timings"].get("mentions_path") == "generic(multi-run)"
-    men = gio.read_table_dir(out, "episodic_edges")
-    assert len(set(men.column("uuid").to_pylist())) == men.num_rows
-    # overlapping episodes carry identical content → every MENTIONS column
-    # and row equals the single full build's
-    full = gio.read_table_dir(graph_out, "episodic_edges")
-    assert men.schema.equals(full.schema), (men.schema, full.schema)
-    assert men.sort_by("uuid").equals(full.sort_by("uuid"))
+
+def test_multi_run_shared_urls_route_generic_mentions(ray_session, pages_parquet, graph_out, tmp_path_factory, monkeypatch):
+    """A url recurring across appended runs breaks the per-shard MENTIONS
+    exactness invariant (episode ⊂ one shard FILE only holds within a
+    run); the Ray placement of the full link must detect the multi-run
+    layout and route through the exchange placement, and the task
+    placement dedups every rewritten row in one process — no duplicate
+    MENTIONS rows either way."""
+    from graphiti_hf_ray.pipelines import kg
+
+    p1, p2 = _overlapping_halves(pages_parquet, tmp_path_factory)
+    for placement, mentions_path in (("ray", "generic(multi-run)"), ("task", "task")):
+        with monkeypatch.context() as mp:
+            if placement == "ray":
+                mp.setattr(kg, "DELTA_MAX_TRIPLES", 0)
+            out = str(tmp_path_factory.mktemp("overlap_graph"))
+            build_graph([p1], out, num_shards=2)
+            metrics = build_graph([p2], out, num_shards=2)
+        assert metrics["timings"]["link_placement"] == placement
+        assert metrics["timings"].get("mentions_path") == mentions_path
+        men = gio.read_table_dir(out, "episodic_edges")
+        assert len(set(men.column("uuid").to_pylist())) == men.num_rows
+        # overlapping episodes carry identical content → every MENTIONS
+        # column and row equals the single full build's
+        full = gio.read_table_dir(graph_out, "episodic_edges")
+        assert men.schema.equals(full.schema), (men.schema, full.schema)
+        assert men.sort_by("uuid").equals(full.sort_by("uuid")), placement
 
 
 def test_incremental_append_matches_full_build(ray_session, pages_parquet, tmp_path_factory):
@@ -447,13 +461,14 @@ def test_salted_merge_parity_forced_skew(ray_session):
 
 
 def test_salting_trigger_end_to_end(ray_session, pages_parquet, graph_out, tmp_path_factory, monkeypatch):
-    """SALT_THRESHOLD=0 forces every build through the salted path; the
-    resulting graph is byte-identical to the default build."""
+    """SALT_THRESHOLD=0 forces every Ray-placed build through the salted
+    path; the resulting graph is byte-identical to the default build."""
     from graphiti_hf_ray.pipelines import kg
 
     out2 = str(tmp_path_factory.mktemp("salted"))
+    monkeypatch.setattr(kg, "DELTA_MAX_TRIPLES", 0)
     monkeypatch.setattr(kg, "SALT_THRESHOLD", 0)
-    build_graph([pages_parquet], out2, num_shards=4)
+    assert build_graph([pages_parquet], out2, num_shards=4)["timings"]["link_placement"] == "ray"
     for table in ("nodes", "edges"):
         a = gio.read_table_dir(graph_out, table).to_pandas().sort_values("uuid").reset_index(drop=True)
         b = gio.read_table_dir(out2, table).to_pandas().sort_values("uuid").reset_index(drop=True)
@@ -513,26 +528,102 @@ def test_canon_auto_gate_routes_distributed(ray_session, pages_parquet, graph_ou
 
 
 def test_link_route_flip_matches_fresh_build(ray_session, pages_parquet, graph_out, tmp_path_factory, monkeypatch):
-    """Below the gate the driver route runs and says so; re-linking the same
-    out_dir under the other canonical-map route (driver → distributed →
-    driver) replaces the earlier route's tables: every link table and the
-    job metrics equal a fresh build's."""
+    """Each full-link placement and canonical-map route says which it took;
+    re-linking the same out_dir under another one (task → distributed →
+    Ray driver-canon → task) replaces the earlier one's tables: every link
+    table and the job metrics equal a fresh build's."""
     import graphiti_hf_ray.stages.canonicalize as C
+    from graphiti_hf_ray.pipelines import kg
     from graphiti_hf_ray.pipelines.kg import extract_phase, link_and_edges_phase
 
     out = str(tmp_path_factory.mktemp("graph_flip"))
     extract_phase([pages_parquet], out, num_shards=4)
     with open(os.path.join(graph_out, "_job_metrics.json")) as f:
         fresh_tables = json.load(f)["tables"]
-    driver = (10_000_000, "driver", "per-shard")
-    for gate, canon_path, mentions_path in (driver, (0, "distributed(auto)", "rewritten"), driver):
+    task = (kg.DELTA_MAX_TRIPLES, 10_000_000, "task", "driver", "task")
+    steps = (
+        task,
+        (kg.DELTA_MAX_TRIPLES, 0, "ray", "distributed(auto)", "rewritten"),
+        (0, 10_000_000, "ray", "driver", "per-shard"),
+        task,
+    )
+    for i, (budget, gate, placement, canon_path, mentions_path) in enumerate(steps):
+        monkeypatch.setattr(kg, "DELTA_MAX_TRIPLES", budget)
         monkeypatch.setattr(C, "CANON_DRIVER_MAX_MENTIONS", gate)
+        if i and canon_path == steps[i - 1][3]:
+            # same canonical route, same link fingerprint: without this the
+            # tables would read as already linked
+            kg._unseal_link_tables(out)
         metrics = link_and_edges_phase(out)
+        assert metrics["timings"]["link_route"] == "full"
+        assert metrics["timings"]["link_placement"] == placement
         assert metrics["timings"]["canon_path"] == canon_path
         assert metrics["timings"]["mentions_path"] == mentions_path
         _assert_link_tables_equal(graph_out, out)
         for table in LINK_TABLES:
             assert metrics["tables"][table]["rows"] == fresh_tables[table]["rows"], (canon_path, table)
+
+
+def test_small_full_link_matches_ray_placement(ray_session, pages_parquet, tmp_path_factory, monkeypatch):
+    """A full link whose triples fit DELTA_MAX_TRIPLES runs as one Ray task
+    and writes what the Ray placement writes over the same logs: the same
+    schema and rows in all four link tables, the same job-metrics row
+    counts and the same distinct-mention count in every link manifest. On
+    a fresh dir, after a second run repeating 4 urls, and on a re-link
+    after an edge delete."""
+    from graphiti_hf_ray.pipelines import kg
+    from graphiti_hf_ray.serve import GraphService
+
+    p1, p2 = _overlapping_halves(pages_parquet, tmp_path_factory)
+    out = str(tmp_path_factory.mktemp("task_link"))
+    ref = str(tmp_path_factory.mktemp("ray_link")) + "/g"
+
+    def link(reason: str) -> None:
+        m = kg.link_and_edges_phase(out)
+        t = m["timings"]
+        triples = sum(s["rows"] for s in kg._triples_shards(out).values())
+        assert (t["link_route"], t["link_reason"], t["link_placement"]) == ("full", reason, "task")
+        assert (t["canon_path"], t["mentions_path"], t["link_triples"]) == ("driver", "task", triples)
+        shutil.rmtree(ref, ignore_errors=True)
+        for log in ("episodes", "triples"):
+            shutil.copytree(os.path.join(out, log), os.path.join(ref, log))
+        with monkeypatch.context() as mp:
+            mp.setattr(kg, "DELTA_MAX_TRIPLES", 0)
+            r = kg.link_and_edges_phase(ref)
+        assert r["timings"]["link_placement"] == "ray"
+        _assert_link_tables_equal(ref, out)
+        for table in LINK_TABLES:
+            assert m["tables"][table]["rows"] == r["tables"][table]["rows"], (reason, table)
+        for d in kg.LINK_TABLES:
+            mentions = [gio.read_manifest(os.path.join(o, d))["mentions"] for o in (out, ref)]
+            assert mentions[0] == mentions[1], (reason, d, mentions)
+
+    extract_phase([p1], out, num_shards=2)
+    link("no linked-run record")
+    extract_phase([p2], out, num_shards=2)
+    link("url recurs")
+    edge = gio.read_table_dir(out, "edges").column("uuid")[0].as_py()
+    assert GraphService(out).delete_entity_edge(edge)["rows_removed"] == 1
+    link("tables edited")
+
+
+def test_small_full_link_starts_no_ray_data_job(ray_session, pages_parquet, tmp_path_factory, monkeypatch):
+    """The task placement of a small full link reads its triples with
+    pyarrow inside its one task: no Ray Data read runs."""
+    import ray.data as rd
+
+    from graphiti_hf_ray.pipelines.kg import link_and_edges_phase
+
+    out = str(tmp_path_factory.mktemp("task_link_no_data"))
+    extract_phase([pages_parquet], out, num_shards=4)
+
+    def no_read(*a, **k):
+        raise AssertionError("a Ray Data read ran")
+
+    monkeypatch.setattr(rd, "read_parquet", no_read)
+    timings = link_and_edges_phase(out)["timings"]
+    assert timings["link_placement"] == "task"
+    assert gio.read_table_dir(out, "edges").num_rows > 0
 
 
 def test_mentions_per_shard_parity_with_generic(ray_session, graph_out):

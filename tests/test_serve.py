@@ -368,10 +368,13 @@ def _assert_equals_fresh_full_link(out, scratch):
     """The served dir's link tables equal a full link over copies of its
     episodes and triples logs: schema and rows, whatever the row order and
     file layout; its job metrics count the rows its tables hold, and its
-    link manifests record the full link's distinct-mention count."""
+    link manifests record the full link's distinct-mention count. The
+    referee full link takes the Ray placement, whose body shares no code
+    with the group route's or the task placement's derive step."""
     import os
     import shutil
 
+    import graphiti_hf_ray.pipelines.kg as kg
     from graphiti_hf_ray import io as gio
     from graphiti_hf_ray.pipelines.kg import LINK_TABLES as LINK_DIRS
     from graphiti_hf_ray.pipelines.kg import link_and_edges_phase
@@ -379,8 +382,11 @@ def _assert_equals_fresh_full_link(out, scratch):
     shutil.rmtree(scratch, ignore_errors=True)
     for log in ("episodes", "triples"):
         shutil.copytree(os.path.join(out, log), os.path.join(scratch, log))
-    fresh = link_and_edges_phase(scratch)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kg, "DELTA_MAX_TRIPLES", 0)
+        fresh = link_and_edges_phase(scratch)
     assert fresh["timings"]["link_route"] == "full"
+    assert fresh["timings"]["link_placement"] == "ray"
     _, _, tables = _link_route(out)
     for t in LINK_TABLES:
         a, b = gio.read_table_dir(out, t), gio.read_table_dir(scratch, t)
