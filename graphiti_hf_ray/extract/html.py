@@ -13,8 +13,9 @@ Semantics (v1):
 - output = ``title\\n`` + ``\\n``-joined paragraphs;
 - nav / footer / script / other markup is dropped.
 
-Vectorized as a plain-function ``map_batches`` stage over Arrow batches
-(stateless; regexes compiled at module import, once per worker process).
+Vectorized as a plain function over Arrow batches, called by the extract
+phase's shard tasks (stateless; regexes compiled at module import, once
+per worker process).
 """
 
 from __future__ import annotations

@@ -6,9 +6,10 @@ edge_operations.py:112-247). The rebuild implements the same contracts —
 ``episode → [mentions]`` and ``episode → [(subj, pred, obj, fact,
 valid_at)]`` — with a deterministic OpenIE-style pattern extractor so tests
 are reproducible offline (SURVEY.md §7.0). The extractor is a callable
-CLASS for ``map_batches(TripleExtractor, concurrency=N)``: patterns compile
-ONCE per actor in ``__init__``, per-batch work is a single compiled-regex
-``finditer`` pass per document.
+CLASS, built once per worker process by the extract phase's shard tasks
+(``pipelines.kg._worker_extractor``): patterns compile ONCE in
+``__init__``, per-batch work is a single compiled-regex ``finditer`` pass
+per document.
 
 Entity labels are assigned from the relation signature (the reference's
 ``edge_type_map`` concept, graphiti_core/graphiti.py:398 + 492-497:
@@ -66,7 +67,7 @@ TRIPLES_SCHEMA = pa.schema(
 
 
 class TripleExtractor:
-    """Actor-pool stage: episodes batch → exploded triple rows.
+    """Extract stage: episodes batch → exploded triple rows.
 
     Input batch columns: uuid, group_id, content, valid_at.
     Output: TRIPLES_SCHEMA (0..n rows per episode).

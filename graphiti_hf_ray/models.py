@@ -214,14 +214,14 @@ EXTRACTOR_SYSTEM_PROMPT = (
 
 
 class OpenAICompatExtractor:
-    """Actor-pool extraction stage for any OpenAI-compatible
-    ``/chat/completions`` endpoint (OpenAI, vLLM, Ollama, LM Studio) — the
-    real-LLM form of the ST1 extractor seam. Batch contract identical to
+    """Extraction stage for any OpenAI-compatible ``/chat/completions``
+    endpoint (OpenAI, vLLM, Ollama, LM Studio) — the real-LLM form of the
+    ST1 extractor seam. Batch contract identical to
     ``extract.triples.TripleExtractor``: episodes batch (uuid, group_id,
     content, valid_at) in, ``TRIPLES_SCHEMA`` rows out — so it drops into
-    ``extract_phase``'s actor pool / per-shard tasks without engine
-    changes. One request per EPISODE (the reference's per-episode prompt
-    granularity; pool concurrency supplies the reference's
+    ``extract_phase``'s per-shard tasks without engine changes. One
+    request per EPISODE (the reference's per-episode prompt granularity;
+    the concurrent shard tasks supply the reference's
     SEMAPHORE_LIMIT-style fan-out), retried with capped backoff.
 
     stdlib-urllib only. ``transport`` injects a ``messages ->

@@ -8,9 +8,10 @@ a no-op).
 
 Phases (phase boundary = resume checkpoint):
 
-  P1 extract  (shard-resumable): pages → extract_text [M11] → episodes [S3]
-              → TripleExtractor actor pool [M2/M3] → per-shard Parquet +
-              manifests. A killed run re-runs only missing shards.
+  P1 extract  (shard-resumable): one Ray task per input slice: pages →
+              extract_text [M11] → episodes [S3] → TripleExtractor
+              [M2/M3] → per-shard Parquet + manifests. A killed run
+              re-runs only missing shards.
   P2 link     (global): triples → canonicalize (blocking → pairs →
               components → canonical map) [D2/A1/A2] → nodes table.
   P3 edges    : rewrite pointers [J2] → dedup merge [D3/A3] → temporal
@@ -93,7 +94,7 @@ DEFAULT_RUN_TS_US = 1735689600_000_000  # 2025-01-01T00:00:00Z — injected, det
 # dedup+invalidate shuffle runs the two-round salted path
 SALT_THRESHOLD = 2_000_000
 
-# pages per extract chunk: bounds an extract task's heap (see extract_phase)
+# pages per extract chunk: bounds an extract task's heap (see extract_one_shard)
 EXTRACT_CHUNK_ROWS = 16_384
 
 # new-run triple rows above this take the full link route, and so do the
@@ -251,27 +252,80 @@ def _worker_extractor(factory=None, key: str = "default") -> TripleExtractor:
     return _EXTRACTOR_MEMO[0][1]
 
 
+def extract_one_shard(
+    ep_dir: str,
+    tr_dir: str,
+    fingerprint: str,
+    pieces: list[tuple[str, int, int, int]],
+    run_ts_us: int,
+    store_content: bool,
+    chunk_rows: int,
+    factory,
+    factory_key: str,
+) -> None:
+    """One extract shard, run as one Ray task: read the shard's input
+    slice ``pieces`` (``_slice_specs``), run html→text + episode build +
+    triple extraction, and write the episodes and triples shard dirs
+    (manifests stamped ``fingerprint``). Chunked streaming: the extracted
+    rows go straight to the incremental writers, so the task heap is
+    O(chunk + one input row group), never O(shard) — a 10⁶-page shard
+    costs the same memory as a 10⁴-page one. A failure aborts both
+    writers, so the shard is left without a manifest."""
+    from ..extract.triples import TRIPLES_SCHEMA
+    from ..schemas import EPISODES
+
+    ep_w = gio.ShardWriter(ep_dir, fingerprint, EPISODES)
+    tr_w = gio.ShardWriter(tr_dir, fingerprint, TRIPLES_SCHEMA)
+    try:
+        for fp, rg, start, n in pieces:
+            rg_tab = pq.ParquetFile(fp).read_row_group(rg).slice(start, n)
+            for off in range(0, rg_tab.num_rows, chunk_rows):
+                pages = rg_tab.slice(off, chunk_rows)
+                ep = make_episode_batch(extract_text_batch(pages), run_ts_us)
+                ep = ep.select(EPISODES.names).cast(EPISODES)
+                tr = _worker_extractor(factory, factory_key)(ep)
+                if not store_content:
+                    # store_raw_episode_content=False parity
+                    # (graphiti.py:137, 551-552): keep the episode row,
+                    # drop the raw text payload
+                    idx = ep.schema.get_field_index("content")
+                    ep = ep.set_column(idx, "content", pa.array([""] * ep.num_rows, pa.string()))
+                ep_w.write(ep)
+                tr_w.write(tr)
+    except BaseException:
+        ep_w.abort()
+        tr_w.abort()
+        raise
+    ep_w.close()
+    tr_w.close()
+
+
 def extract_phase(
     pages_paths: list[str],
     out_dir: str,
     run_ts_us: int = DEFAULT_RUN_TS_US,
     num_shards: int | None = None,
-    extractor_concurrency: int | None = None,
     store_content: bool = True,
     input_etags: dict[str, str] | None = None,
     extractor_resources: dict | None = None,
     extractor_factory=None,
-) -> None:
+) -> tuple[int, int]:
     """P1: shard-resumable extraction with ZERO exchange. One shard = one
     deterministic contiguous input slice (``_slice_specs``); each shard
-    task reads only its own row-group slices, runs html→text + episode
-    build + triple extraction, and writes its two shard dirs atomically.
-    The whole phase is an embarrassingly parallel map over shards — the
-    previous design's groupby(shard) moved the entire page-text stream
-    through an all-to-all just to co-locate shard rows, which at 100 TB is
-    a corpus-sized shuffle bought for nothing (slices already ARE
+    still to do runs as one plain Ray task (``extract_one_shard``) that
+    reads only its own row-group slices, runs html→text + episode build +
+    triple extraction, and writes its two shard dirs atomically. The whole
+    phase is an embarrassingly parallel map over shards — the previous
+    design's groupby(shard) moved the entire page-text stream through an
+    all-to-all just to co-locate shard rows, which at 100 TB is a
+    corpus-sized shuffle bought for nothing (slices already ARE
     co-located). A page (= episode) is one row, so episode ⊂ shard file
-    still holds — the invariant mentions_edges_per_shard documents.
+    still holds — the invariant mentions_edges_per_shard documents. No Ray
+    Data job runs: one per-shard task pool needs no streaming executor,
+    whose start-up cost more than a single-episode write's extraction.
+
+    Returns (shards run, shards in the plan): a resumed run shows how many
+    shards it skipped.
 
     ``input_etags`` (path → content digest) skips reading input bytes for
     fingerprinting — pass object-store etags at scale.
@@ -280,13 +334,15 @@ def extract_phase(
     ``TripleExtractor``): any zero-arg callable — a class like
     ``models.OpenAICompatExtractor`` or a closure binding its config —
     returning a batch callable with ``TripleExtractor``'s contract
-    (episodes batch in, TRIPLES_SCHEMA rows out). It ships in the shard
-    task's closure and builds ONCE per worker (``_worker_extractor``
+    (episodes batch in, TRIPLES_SCHEMA rows out). It ships as a shard
+    task argument and builds ONCE per worker process (``_worker_extractor``
     memo), so NER / OpenIE / LLM weights load once, not per shard.
-    ``extractor_resources`` are per-shard-task Ray resource args passed
-    straight to the extract ``map_batches`` (e.g. ``{"num_gpus": 1}`` or
-    ``{"num_cpus": 2}``) — a GPU-backed extractor reserves its
-    accelerator here, the same knob the embed/rerank stages document.
+    ``extractor_resources`` are Ray resource args of each shard task,
+    merged over its defaults ``num_cpus=1`` and the SPREAD scheduling
+    strategy (e.g. ``{"num_gpus": 1}`` or ``{"num_cpus": 2}``) — a
+    GPU-backed extractor reserves its accelerator here, the same knob the
+    embed/rerank stages document. The call returns, or raises the first
+    shard's error, only once every shard task has ended.
     NOTE: shard resume fingerprints cover the INPUT (and shard count),
     not the extractor — callables have no stable content hash — so point
     different extractors at different ``out_dir``s; a re-run over an
@@ -353,74 +409,29 @@ def extract_phase(
         if not (gio.manifest_matches(sdir("episodes", s), fps[s]) and gio.manifest_matches(sdir("triples", s), fps[s]))
     ]
     if not todo:
-        return
+        return 0, num_shards
 
-    files = _input_files(pages_paths)
-    specs = _slice_specs(files, num_shards)
-    from ..schemas import EPISODES
-
-    from ..extract.triples import TRIPLES_SCHEMA
-
-    # read driver-side so the value ships in the shard task's closure
-    chunk_rows = EXTRACT_CHUNK_ROWS
+    specs = _slice_specs(_input_files(pages_paths), num_shards)
     # minted DRIVER-side so the same pinned factory keeps its worker-memo
     # key across build_graph calls (see _worker_extractor)
     extractor_key = _factory_key(extractor_factory)
-
-    def extract_one_shard(batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
-
-        out_rows = []
-        for shard, spec_json in zip(
-            batch.column("shard").to_pylist(), batch.column("spec").to_pylist()
-        ):
-            pieces = json.loads(spec_json)
-            # chunked streaming: the extracted episodes/triples go straight
-            # to the incremental writers, so task heap is O(chunk + one
-            # input row group), never O(shard) — a 10⁶-page shard costs the
-            # same memory as a 10⁴-page one
-            ep_w = gio.ShardWriter(sdir("episodes", shard), fps[shard], EPISODES)
-            tr_w = gio.ShardWriter(sdir("triples", shard), fps[shard], TRIPLES_SCHEMA)
-            try:
-                for fp, rg, start, n in pieces:
-                    rg_tab = pq.ParquetFile(fp).read_row_group(rg).slice(start, n)
-                    for off in range(0, rg_tab.num_rows, chunk_rows):
-                        pages = rg_tab.slice(off, chunk_rows)
-                        ep = make_episode_batch(extract_text_batch(pages), run_ts_us)
-                        ep = ep.select(EPISODES.names).cast(EPISODES)
-                        tr = _worker_extractor(extractor_factory, extractor_key)(ep)
-                        if not store_content:
-                            # store_raw_episode_content=False parity
-                            # (graphiti.py:137, 551-552): keep the episode
-                            # row, drop the raw text payload
-                            idx = ep.schema.get_field_index("content")
-                            ep = ep.set_column(idx, "content", pa.array([""] * ep.num_rows, pa.string()))
-                        ep_w.write(ep)
-                        tr_w.write(tr)
-            except BaseException:
-                ep_w.abort()
-                tr_w.abort()
-                raise
-            man_e = ep_w.close()
-            man_t = tr_w.close()
-            out_rows.append((shard, man_e["rows"], man_t["rows"]))
-        return pa.table(
-            {
-                "shard": pa.array([r[0] for r in out_rows], pa.int32()),
-                "episodes": pa.array([r[1] for r in out_rows], pa.int64()),
-                "triples": pa.array([r[2] for r in out_rows], pa.int64()),
-            }
-        )
-
-    items = [{"shard": s, "spec": json.dumps(specs[s])} for s in todo]
-    stats = rd.from_items(items, override_num_blocks=len(items)).map_batches(
-        extract_one_shard,
-        batch_format="pyarrow",
-        batch_size=1,
-        **({"concurrency": extractor_concurrency} if extractor_concurrency else {}),
-        **(extractor_resources or {}),
+    # SPREAD: on a cluster the shards fan out over the nodes instead of
+    # filling the first one (Ray Data's placement for map tasks)
+    task = ray.remote(extract_one_shard).options(
+        **{"num_cpus": 1, "scheduling_strategy": "SPREAD", **(extractor_resources or {})}
     )
-    stats.materialize()  # execute
+    refs = [
+        task.remote(
+            sdir("episodes", s), sdir("triples", s), fps[s], specs[s], run_ts_us,
+            store_content, EXTRACT_CHUNK_ROWS, extractor_factory, extractor_key,
+        )
+        for s in todo
+    ]
+    # every shard task ends before the call returns or raises: a failed
+    # shard must not leave siblings still writing into out_dir
+    ray.wait(refs, num_returns=len(refs))
+    ray.get(refs)
+    return len(todo), num_shards
 
 
 def _triples_shards(out_dir: str) -> dict[str, dict]:
@@ -439,13 +450,13 @@ def _run_of(shard_dir: str) -> str:
     return shard_dir.split("shard=", 1)[1].split("-", 1)[0]
 
 
-def _link_fingerprint(out_dir: str, run_ts_us: int, runs: set[str] | None = None) -> str:
+def _link_fingerprint(shards: dict[str, dict], run_ts_us: int, runs: set[str] | None = None) -> str:
     """Link-phase lineage fingerprint: the run ts AND the exact set of input
-    triples shards (their manifests), so an incremental append of new shards
-    invalidates and re-derives the global tables. ``runs`` restricts it to
-    the shards of those run prefixes."""
+    triples shards (``_triples_shards`` manifests), so an incremental append
+    of new shards invalidates and re-derives the global tables. ``runs``
+    restricts it to the shards of those run prefixes."""
     shard_fps = [
-        m.get("fingerprint", "") for d, m in _triples_shards(out_dir).items()
+        m.get("fingerprint", "") for d, m in shards.items()
         if runs is None or _run_of(d) in runs
     ]
     return "run:" + str(run_ts_us) + ":" + hashlib.md5("|".join(sorted(shard_fps)).encode()).hexdigest()
@@ -544,7 +555,7 @@ def _choose_link_route(out_dir: str, run_ts_us: int, shards: dict[str, dict]) ->
     if any(gio.part_files_fingerprint(d) != m["files"] for d, m in zip(_link_dirs(out_dir), mans)):
         return "full", "tables edited", rec
     linked, runs = set(rec["linked_runs"]), {_run_of(d) for d in shards}
-    base = _link_fingerprint(out_dir, run_ts_us, linked)
+    base = _link_fingerprint(shards, run_ts_us, linked)
     if not linked <= runs or rec["fingerprint"] not in (base, base + ":distcanon"):
         return "full", "tables edited", rec
     if runs == linked:
@@ -887,7 +898,7 @@ def link_and_edges_phase(
     shards = _triples_shards(out_dir)
     route, reason, rec = _choose_link_route(out_dir, run_ts_us, shards)
     if route == "delta":
-        fp = _link_fingerprint(out_dir, run_ts_us)
+        fp = _link_fingerprint(shards, run_ts_us)
         new, runs = _new_run_triples(out_dir, shards, rec)
         reason = _delta_link(out_dir, run_ts_us, new, runs, rec, fp) or ""
         if reason == "url recurs":
@@ -922,25 +933,25 @@ def _full_link(out_dir: str, run_ts_us: int, timings: dict, shards: dict[str, di
     from ..stages.canonicalize import CANON_DRIVER_MAX_MENTIONS
 
     t0 = time.time()
-    runs = {_run_of(d) for d in shards}
     n_triples = sum(m.get("rows", 0) for m in shards.values())
     # each triple row adds at most two distinct mentions
     task = n_triples <= DELTA_MAX_TRIPLES and 2 * n_triples <= CANON_DRIVER_MAX_MENTIONS
     timings["link_placement"], timings["link_triples"] = ("task" if task else "ray"), n_triples
     if not task:
-        _ray_link(out_dir, run_ts_us, timings, t0, runs)
+        _ray_link(out_dir, run_ts_us, timings, t0, shards)
         return
-    fp = _link_fingerprint(out_dir, run_ts_us)
+    fp = _link_fingerprint(shards, run_ts_us)
     n_mentions = ray.get(ray.remote(num_cpus=1)(_link_task).remote(out_dir, run_ts_us, fp))
     timings["canon_path"], timings["mentions_path"] = "driver", "task"
     timings["link_task"] = round(time.time() - t0, 2)
-    _seal_link_tables(out_dir, fp, runs, n_mentions)
+    _seal_link_tables(out_dir, fp, {_run_of(d) for d in shards}, n_mentions)
 
 
-def _ray_link(out_dir: str, run_ts_us: int, timings: dict, t0: float, runs: set[str]) -> None:
+def _ray_link(out_dir: str, run_ts_us: int, timings: dict, t0: float, shards: dict[str, dict]) -> None:
     """The full route's Ray placement: Ray Data jobs over the triples."""
     from ..stages.canonicalize import CANON_DRIVER_MAX_MENTIONS
 
+    runs = {_run_of(d) for d in shards}
     cpus = int(ray.cluster_resources().get("CPU", 8))
     # prune at the read: drop the hive-partition 'shard' column and sent_idx
     # so the rewrite/dedup shuffles move only needed bytes
@@ -951,7 +962,7 @@ def _ray_link(out_dir: str, run_ts_us: int, timings: dict, t0: float, runs: set[
     n_mentions = distinct.count()
     distributed = n_mentions > CANON_DRIVER_MAX_MENTIONS
     timings["canon_path"] = "distributed(auto)" if distributed else "driver"
-    fp = _link_fingerprint(out_dir, run_ts_us) + (":distcanon" if distributed else "")
+    fp = _link_fingerprint(shards, run_ts_us) + (":distcanon" if distributed else "")
     strategy = _distributed_canon if distributed else _driver_canon
     nodes, dups, rewritten, hot, map_ref = strategy(triples, distinct, run_ts_us, timings, t0)
     t0 += timings["canonicalize"]  # edges_job runs from the end of canonicalization
@@ -1029,10 +1040,12 @@ def build_graph(
 ) -> dict:
     """Full pipeline: pages parquet → nodes/edges/episodes/episodic_edges.
     ``extractor_factory`` / ``extractor_resources`` plug a model-backed
-    (e.g. GPU) extractor into the extract phase — see ``extract_phase``."""
+    (e.g. GPU) extractor into the extract phase — see ``extract_phase``.
+    The run report's ``timings`` name the extract work:
+    ``extract_shards_run`` of ``extract_shards_total`` (the rest resumed)."""
     timings: dict = {}
     t0 = time.time()
-    extract_phase(
+    timings["extract_shards_run"], timings["extract_shards_total"] = extract_phase(
         pages_paths, out_dir, run_ts_us, num_shards,
         store_content=store_content, input_etags=input_etags,
         extractor_resources=extractor_resources, extractor_factory=extractor_factory,

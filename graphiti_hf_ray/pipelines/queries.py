@@ -15,6 +15,7 @@ corpus.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 
@@ -460,16 +461,39 @@ def q19b_simhash_neardup(sf_dir: str) -> pd.DataFrame:
 _KG_CACHE: dict[str, str] = {}
 
 
+@functools.cache
+def _engine_digest() -> str:
+    """md5 over the engine package's Python sources (relative path and
+    bytes, in path order): a build made by other engine code — another
+    checkout, an edit — gets another KG cache dir."""
+    import glob
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    h = hashlib.md5()
+    for fp in sorted(glob.glob(os.path.join(root, "**", "*.py"), recursive=True)):
+        h.update(os.path.relpath(fp, root).encode() + b"\0")
+        with open(fp, "rb") as f:
+            h.update(f.read())
+    return h.hexdigest()
+
+
+def _kg_cache_paths(sf_dir: str, engine: str) -> tuple[str, str]:
+    """(pages file, graph out dir) of the KG cache for ``sf_dir`` as built
+    by the engine sources with digest ``engine``: a sealed graph is reused
+    only by the code that wrote it."""
+    tag = hashlib.md5(f"{sf_dir}\0{engine}".encode()).hexdigest()[:16]
+    return f"/tmp/graphiti_ray/pages_{tag}.parquet", f"/tmp/graphiti_ray/out_{tag}"
+
+
 def _kg_out_dir(sf_dir: str) -> str:
-    """Build the KG once per sf_dir per process; reuse across queries."""
+    """Build the KG once per sf_dir per process; reuse across queries and,
+    through the cache dir, across processes running the same engine code."""
     if sf_dir in _KG_CACHE:
         return _KG_CACHE[sf_dir]
     from ..fixtures import pages as P
     from .kg import build_graph
 
-    tag = hashlib.md5(sf_dir.encode()).hexdigest()[:8]
-    pages_path = f"/tmp/graphiti_ray/pages_{tag}.parquet"
-    out_dir = f"/tmp/graphiti_ray/out_{tag}"
+    pages_path, out_dir = _kg_cache_paths(sf_dir, _engine_digest())
     os.makedirs(os.path.dirname(pages_path), exist_ok=True)
     if not os.path.exists(pages_path):  # deterministic content — write once
         docs = pq.read_table(os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text", "lang"])

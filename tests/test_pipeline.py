@@ -222,7 +222,7 @@ def test_resume_skips_completed_shards(ray_session, pages_parquet, tmp_path_fact
     """Kill-mid-run model: delete one shard, re-run → only that shard is
     rewritten; other manifests untouched; tables byte-identical."""
     out = str(tmp_path_factory.mktemp("resume"))
-    extract_phase([pages_parquet], out, num_shards=4)
+    assert extract_phase([pages_parquet], out, num_shards=4) == (4, 4)
     ref = gio.read_table_dir(out, "triples").to_pandas().sort_values("episode_uuid").reset_index(drop=True)
     shard_dirs = sorted(
         os.path.join(out, "triples", d) for d in os.listdir(os.path.join(out, "triples"))
@@ -234,7 +234,7 @@ def test_resume_skips_completed_shards(ray_session, pages_parquet, tmp_path_fact
             manifests_before[d] = json.load(f)
 
     shutil.rmtree(shard_dirs[2])
-    extract_phase([pages_parquet], out, num_shards=4)
+    assert extract_phase([pages_parquet], out, num_shards=4) == (1, 4)  # shards run, shards total
     after = gio.read_table_dir(out, "triples").to_pandas().sort_values("episode_uuid").reset_index(drop=True)
     pd.testing.assert_frame_equal(ref, after)
     for d in (shard_dirs[0], shard_dirs[1], shard_dirs[3]):
@@ -266,6 +266,137 @@ def test_resume_reuses_persisted_shard_plan(ray_session, pages_parquet, tmp_path
         ref.sort_values(key).reset_index(drop=True),
         after.sort_values(key).reset_index(drop=True),
     )
+
+
+def test_build_starts_no_ray_data_job(ray_session, pages_parquet, tmp_path_factory, monkeypatch):
+    """A build of the fixture pages runs its extract shards as plain Ray
+    tasks and its small full link as one task: no Ray Data job starts.
+    The run report names the extract work."""
+    import ray.data as rd
+
+    def no_job(*a, **k):
+        raise AssertionError("a Ray Data job started")
+
+    monkeypatch.setattr(rd, "from_items", no_job)
+    monkeypatch.setattr(rd, "read_parquet", no_job)
+    out = str(tmp_path_factory.mktemp("no_data_job"))
+    timings = build_graph([pages_parquet], out, num_shards=4)["timings"]
+    assert (timings["extract_shards_run"], timings["extract_shards_total"]) == (4, 4)
+    assert gio.read_table_dir(out, "edges").num_rows > 0
+    with open(os.path.join(out, "_job_metrics.json")) as f:
+        assert json.load(f)["timings"]["extract_shards_total"] == 4
+
+
+def test_extract_shard_failure_waits_and_resumes(ray_session, pages_parquet, tmp_path_factory):
+    """An extractor that fails on one shard's pages: extract_phase raises
+    only once the other shard tasks have ended, so their manifests exist
+    when it returns and no task writes into out_dir afterwards. The failed
+    shard has no manifest, and a re-run extracts that shard alone."""
+    from graphiti_hf_ray.ids import episode_uuid
+
+    urls = pq.read_table(pages_parquet, columns=["url"]).column("url").to_pylist()
+
+    class FailOnShard2:
+        BAD = episode_uuid(urls[len(urls) // 2])  # first page of shard 2 of 4
+
+        def __init__(self):
+            from graphiti_hf_ray.extract.triples import TripleExtractor
+
+            self.inner = TripleExtractor()
+
+        def __call__(self, ep):
+            import time
+
+            if self.BAD in ep.column("uuid").to_pylist():
+                raise RuntimeError("extractor failed on shard 2")
+            time.sleep(1.0)  # the other shards end well after the failure
+            return self.inner(ep)
+
+    out = str(tmp_path_factory.mktemp("shard_failure"))
+    with pytest.raises(Exception, match="extractor failed on shard 2"):
+        extract_phase([pages_parquet], out, num_shards=4, extractor_factory=FailOnShard2)
+    # shards 0, 1 and 3 are sealed; shard 2's aborted writers left no dir,
+    # not even a .tmp- one
+    written = {}
+    for t in ("episodes", "triples"):
+        dirs = sorted(os.listdir(os.path.join(out, t)))
+        assert [d[-4:] for d in dirs] == ["0000", "0001", "0003"]
+        for d in dirs:
+            with open(os.path.join(out, t, d, gio.MANIFEST)) as f:
+                written[t, d] = json.load(f)["written_at"]
+
+    assert extract_phase([pages_parquet], out, num_shards=4) == (1, 4)
+    for (t, d), at in written.items():
+        with open(os.path.join(out, t, d, gio.MANIFEST)) as f:
+            assert json.load(f)["written_at"] == at
+    ref = str(tmp_path_factory.mktemp("shard_failure_ref"))
+    extract_phase([pages_parquet], ref, num_shards=4)
+    key = ["episode_uuid", "sent_idx"]
+    pd.testing.assert_frame_equal(
+        gio.read_table_dir(ref, "triples").to_pandas().sort_values(key).reset_index(drop=True),
+        gio.read_table_dir(out, "triples").to_pandas().sort_values(key).reset_index(drop=True),
+    )
+
+
+def test_link_reads_triples_manifests_once(ray_session, pages_parquet, tmp_path_factory, monkeypatch):
+    """Every link route reads the triples shard manifests once per call:
+    the route check and the link fingerprints share that one read."""
+    from graphiti_hf_ray.pipelines import kg
+
+    calls = []
+    orig = kg._triples_shards
+
+    def counting(out_dir):
+        calls.append(out_dir)
+        return orig(out_dir)
+
+    monkeypatch.setattr(kg, "_triples_shards", counting)
+    pg = pq.read_table(pages_parquet)
+    d = tmp_path_factory.mktemp("manifest_reads")
+    p1, p2, out = str(d / "p1.parquet"), str(d / "p2.parquet"), str(d / "out")
+    pq.write_table(pg.slice(0, pg.num_rows - 20), p1)
+    pq.write_table(pg.slice(pg.num_rows - 20), p2)
+    extract_phase([p1], out, num_shards=2)
+    routes = []
+    for step in (None, None, p2):
+        if step:
+            extract_phase([step], out, num_shards=1)
+        calls.clear()
+        routes.append(kg.link_and_edges_phase(out)["timings"]["link_route"])
+        assert len(calls) == 1
+    assert routes[:2] == ["full", "unchanged"]
+    assert routes[2] in ("delta", "group")
+
+
+def test_kg_query_cache_keyed_by_engine_code(tmp_path):
+    """The KG query cache dir is keyed by the fixture dir AND the engine
+    sources' digest: two different keys never share an out dir, so a
+    sealed graph written by other engine code is never reused."""
+    from graphiti_hf_ray.pipelines import queries as Q
+
+    keys = [(sf, eng) for sf in ("/data/sf0.001", "/data/sf0.01") for eng in ("a" * 32, "b" * 32)]
+    paths = [Q._kg_cache_paths(sf, eng) for sf, eng in keys]
+    assert len({out for _, out in paths}) == len({pg for pg, _ in paths}) == len(keys)
+    assert Q._kg_cache_paths(*keys[0]) == paths[0]  # the same key reuses its dir
+
+    # the digest covers every engine source file: a copy that differs in
+    # one byte digests differently
+    pkg = os.path.dirname(os.path.dirname(Q.__file__))
+    shutil.copytree(pkg, tmp_path / "graphiti_hf_ray", ignore=shutil.ignore_patterns("__pycache__"))
+    qfile = tmp_path / "graphiti_hf_ray" / "pipelines" / "queries.py"
+    import importlib.util
+
+    def digest_of_copy() -> str:
+        spec = importlib.util.spec_from_file_location("queries_copy", qfile)
+        mod = importlib.util.module_from_spec(spec)
+        mod.__package__ = "graphiti_hf_ray.pipelines"
+        spec.loader.exec_module(mod)
+        return mod._engine_digest()
+
+    assert digest_of_copy() == Q._engine_digest()
+    with open(tmp_path / "graphiti_hf_ray" / "pipelines" / "kg.py", "a") as f:
+        f.write("\n")
+    assert digest_of_copy() != Q._engine_digest()
 
 
 def _overlapping_halves(pages_parquet, tmp_path_factory) -> tuple[str, str]:
