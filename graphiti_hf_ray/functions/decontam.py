@@ -15,11 +15,12 @@ Scale shape — broadcast small side, stream the corpus, zero shuffle:
   sets are thousands of documents, the corpus is billions). Its n-gram set
   is built once and broadcast via ``ray.put``; every map task reads the
   same object-store copy — never re-shipped per batch.
-- the corpus pass is one stateful-actor ``map_batches``: each task slides
-  an n-token window per doc and counts membership hits in the broadcast
-  set. No exchange, no materialization; output adds two narrow columns.
+- the corpus pass is one stateless ``map_batches``: each task slides an
+  n-token window per doc and counts membership hits in the broadcast set,
+  unpickled once per worker (``stages.memo``). No exchange, no
+  materialization; output adds two narrow columns.
 - when the gram set is too big to broadcast as Python strings (a 100M-gram
-  suite is ~10 GB of str objects PER ACTOR), ``method="bloom_join"`` keeps
+  suite is ~10 GB of str objects PER WORKER), ``method="bloom_join"`` keeps
   the screen exact at a fraction of the memory: a ~1.2 GB-per-100M-gram
   Bloom filter broadcasts instead, the corpus pass emits candidate windows
   only where the Bloom hits (false-positive rate ``bloom_fpr``; false
@@ -37,6 +38,8 @@ import pandas as pd
 import pyarrow as pa
 
 import ray
+
+from ..stages.memo import map_with_state
 
 __all__ = [
     "BloomFilter",
@@ -129,13 +132,12 @@ def redact_tokens(
 
 
 class _ContamCounter:
-    """Actor-pool stage: count benchmark n-gram collisions per document.
+    """Map stage: count benchmark n-gram collisions per document. Built
+    once per worker from the broadcast gram set (``stages.memo``), not
+    per batch."""
 
-    The benchmark gram set is fetched from the object store ONCE per actor
-    (``__init__``), not per batch."""
-
-    def __init__(self, grams_ref: "ray.ObjectRef", n: int, text_col: str, redact: bool = False):
-        self.grams: frozenset[str] = ray.get(grams_ref)
+    def __init__(self, grams: frozenset[str], n: int, text_col: str, redact: bool = False):
+        self.grams = grams
         self.n = n
         self.text_col = text_col
         self.redact = redact
@@ -169,12 +171,12 @@ class _ContamCounter:
 
 
 class _BloomCandidates:
-    """Actor-pool stage 1 of the bloom_join path: emit one (doc key, gram)
-    row per WINDOW the broadcast Bloom filter hits — clean docs (the vast
-    majority) emit nothing and never enter the exchange."""
+    """Map stage 1 of the bloom_join path: emit one (doc key, gram) row per
+    WINDOW the broadcast Bloom filter hits — clean docs (the vast majority)
+    emit nothing and never enter the exchange."""
 
-    def __init__(self, bloom_ref: "ray.ObjectRef", n: int, text_col: str, id_col: str):
-        self.bloom: BloomFilter = ray.get(bloom_ref)
+    def __init__(self, bloom: BloomFilter, n: int, text_col: str, id_col: str):
+        self.bloom = bloom
         self.n = n
         self.text_col = text_col
         self.id_col = id_col
@@ -201,7 +203,6 @@ def _bloom_join_counts(
     text_col: str,
     id_col: str,
     bloom_fpr: float,
-    concurrency,
     num_buckets: int | None,
 ) -> dict[str, int]:
     """Exact per-doc collision-position counts via Bloom pre-filter +
@@ -214,16 +215,8 @@ def _bloom_join_counts(
 
     bloom = BloomFilter(len(grams), fpr=bloom_fpr)
     bloom.add_many(list(grams))
-    bref = ray.put(bloom)
 
-    cand = docs.map_batches(
-        _BloomCandidates,
-        fn_constructor_kwargs={
-            "bloom_ref": bref, "n": n, "text_col": text_col, "id_col": id_col,
-        },
-        batch_format="pyarrow",
-        concurrency=concurrency,
-    )
+    cand = map_with_state(docs, _BloomCandidates, ray.put(bloom), n, text_col, id_col)
     truth = rd.from_arrow(
         pa.table({"g": pa.array(sorted(grams), pa.string())})
     ).map_batches(
@@ -261,7 +254,6 @@ def ngram_decontaminate(
     n: int = 8,
     text_col: str = "text",
     mode: str = "mark",
-    concurrency: tuple[int, int] | int = (1, 8),
     method: str = "broadcast",
     id_col: str = "doc_id",
     bloom_fpr: float = 1e-3,
@@ -280,9 +272,10 @@ def ngram_decontaminate(
     ``n_redacted_tokens``. Redacted docs lose their original whitespace
     (tokens rejoin with single spaces); untouched docs are byte-identical.
 
-    ``method="broadcast"`` (default) ships the gram set to every actor —
-    right for real benchmark sizes. ``method="bloom_join"`` is the
-    huge-suite scale path (mark/filter only; needs ``id_col``): a Bloom
+    ``method="broadcast"`` (default) broadcasts the gram set once through
+    the object store and each worker unpickles it once — right for real
+    benchmark sizes. ``method="bloom_join"`` is the huge-suite scale path
+    (mark/filter only; needs ``id_col``): a Bloom
     filter broadcasts instead (~10-15 bits/gram vs ~100 bytes/gram of str
     objects), Bloom-hit windows are verified exactly through one
     gram-partitioned join, and the per-doc counts — nonzero only for
@@ -297,7 +290,7 @@ def ngram_decontaminate(
             raise ValueError("redact requires method='broadcast' (needs the gram set in hand)")
         counts = _bloom_join_counts(
             docs, benchmark_ngrams(benchmark_texts, n=n), n, text_col, id_col,
-            bloom_fpr, concurrency, num_buckets,
+            bloom_fpr, num_buckets,
         )
         cref = ray.put(counts)
 
@@ -310,15 +303,7 @@ def ngram_decontaminate(
         marked = docs.map_batches(mark_from_counts, batch_format="pyarrow")
     else:
         grams_ref = ray.put(benchmark_ngrams(benchmark_texts, n=n))
-        marked = docs.map_batches(
-            _ContamCounter,
-            fn_constructor_kwargs={
-                "grams_ref": grams_ref, "n": n, "text_col": text_col,
-                "redact": mode == "redact",
-            },
-            batch_format="pyarrow",
-            concurrency=concurrency,
-        )
+        marked = map_with_state(docs, _ContamCounter, grams_ref, n, text_col, mode == "redact")
     if mode in ("mark", "redact"):
         return marked
 

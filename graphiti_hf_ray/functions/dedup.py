@@ -908,6 +908,13 @@ def fuzzy_cross_dedup_rows(
     4. estimated J ≥ threshold marks the batch row a loser; losers are
        removed by the shared size-gated tail.
 
+    The estimate's errors are not symmetric in effect: a doc whose true
+    Jaccard sits just under the threshold is still dropped a nontrivial
+    fraction of the time (about one in six at one σ below), and that drop
+    cannot be undone (the append records its text in the seen-set, so it
+    is never offered again); a doc just above the threshold can slip
+    through into the packs.
+
     Hot band keys (boilerplate clusters) are capped at ``max_key_docs``
     STATE docs per key with counted drops (``metrics_out
     ['cross_minhash_capped_docs']``) — a capped key can miss a true cross-run

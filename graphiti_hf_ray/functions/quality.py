@@ -7,8 +7,8 @@ linear model over hashed n-gram buckets — and keep documents above a
 score threshold. This module provides that stage in the engine's usual
 two-layer form:
 
-- ``HashedNgramQuality``: the hashing-trick linear scorer itself, an
-  actor-pool ``map_batches`` class. Features are whitespace unigrams +
+- ``HashedNgramQuality``: the hashing-trick linear scorer itself, a
+  ``map_batches`` stage class. Features are whitespace unigrams +
   bigrams; each feature hashes to one of ``n_buckets`` weight slots
   (bucket = int(md5(feature)[:8], 16) % n_buckets — md5 so the driver
   oracle can reproduce scores exactly in SQL); the document score is the
@@ -23,10 +23,11 @@ two-layer form:
   (lazy import, contract-tested offline), matching the reference's
   model-client seams (graphiti_core/embedder/client.py et al.).
 
-Scale shape: pure streaming map — the weight vector is actor state
-(loaded once per actor in ``__init__``, a few MB even at 2^22 buckets),
-md5 is computed per DISTINCT feature per batch with a per-actor memo,
-and per-doc sums are one ``np.add.reduceat``. No exchange, no
+Scale shape: pure streaming map of stateless tasks — the weight vector
+(a few MB even at 2^22 buckets) broadcasts once via ``ray.put`` and each
+worker builds the scorer once (``stages.memo``), md5 is computed per
+DISTINCT feature per batch with a per-worker memo, and per-doc sums are
+one ``np.add.reduceat``. No exchange, no
 materialization; at 100 TB this stage is embarrassingly parallel.
 
 The same hashed feature space also powers DSIR importance resampling
@@ -45,9 +46,13 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
+import ray
+
+from ..stages.memo import map_with_state
+
 DEFAULT_N_BUCKETS = 1 << 16
 
-# per-actor memo cap: feature -> bucket. 4M object-keyed entries is a few
+# per-worker memo cap: feature -> bucket. 4M object-keyed entries is a few
 # hundred MB worst-case; a real crawl's feature stream is heavy-tailed so
 # the memo mostly holds the head. Cleared wholesale when full (cheaper and
 # flatter than LRU bookkeeping in the hot path).
@@ -82,8 +87,22 @@ def _feature_bucket(feat: str, n_buckets: int) -> int:
     return int(hashlib.md5(feat.encode()).hexdigest()[:8], 16) % n_buckets
 
 
+def _memo_buckets(memo: dict, feats, n_buckets: int) -> np.ndarray:
+    """``_feature_bucket`` of each feature, md5 once per DISTINCT feature
+    per worker (``memo`` is the stage's own, cleared whole when full)."""
+    out = np.empty(len(feats), np.int64)
+    for i, f in enumerate(feats):
+        b = memo.get(f)
+        if b is None:
+            if len(memo) >= _MEMO_MAX:
+                memo.clear()
+            b = memo[f] = _feature_bucket(f, n_buckets)
+        out[i] = b
+    return out
+
+
 class HashedNgramQuality:
-    """Actor-pool stage: append ``quality_logit`` (sum of hashed-bucket
+    """Map stage: append ``quality_logit`` (sum of hashed-bucket
     weights over unigram+bigram features, int64 for the stub weights /
     float64 for trained ones) and ``n_quality_feats`` (int64) to each row.
 
@@ -110,15 +129,6 @@ class HashedNgramQuality:
         self._is_int = np.issubdtype(self.weights.dtype, np.integer)
         self._memo: dict[str, int] = {}
 
-    def _bucket(self, feat: str) -> int:
-        b = self._memo.get(feat)
-        if b is None:
-            b = _feature_bucket(feat, self.n_buckets)
-            if len(self._memo) >= _MEMO_MAX:
-                self._memo.clear()
-            self._memo[feat] = b
-        return b
-
     def __call__(self, batch: pa.Table) -> pa.Table:
         texts = batch.column(self.text_col).to_pylist()
         feats: list[str] = []
@@ -135,7 +145,7 @@ class HashedNgramQuality:
         # md5 once per DISTINCT feature (memoized across batches), then a
         # single segment-sum per doc
         uniq, inv = np.unique(np.asarray(feats, dtype=object), return_inverse=True)
-        buckets = np.fromiter((self._bucket(f) for f in uniq), np.int64, len(uniq))
+        buckets = _memo_buckets(self._memo, uniq, self.n_buckets)
         per_feat = self.weights[buckets[inv]]
         starts = np.r_[0, np.cumsum(counts)[:-1]]
         logits = np.add.reduceat(per_feat, starts)
@@ -153,15 +163,11 @@ def score_quality(
     weights: "np.ndarray | None" = None,
     n_buckets: int = DEFAULT_N_BUCKETS,
     text_col: str = "text",
-    concurrency=(1, 8),
 ):
-    """Append quality columns to a documents Dataset (streaming map)."""
-    return ds.map_batches(
-        HashedNgramQuality,
-        fn_constructor_kwargs={"weights": weights, "n_buckets": n_buckets, "text_col": text_col},
-        batch_format="pyarrow",
-        concurrency=concurrency,
-    )
+    """Append quality columns to a documents Dataset (streaming map; a
+    weight vector ships once via ``ray.put``)."""
+    w = None if weights is None else ray.put(weights)
+    return map_with_state(ds, HashedNgramQuality, w, n_buckets, text_col)
 
 
 def quality_filter(
@@ -170,14 +176,13 @@ def quality_filter(
     weights: "np.ndarray | None" = None,
     n_buckets: int = DEFAULT_N_BUCKETS,
     text_col: str = "text",
-    concurrency=(1, 8),
 ):
     """Keep documents whose MEAN feature weight (quality_logit /
     n_quality_feats) clears ``min_mean_weight`` — the length-normalized
     form real pipelines threshold on (a raw logit sum scales with doc
     length). The helper columns are dropped from the output so the stage
     composes transparently inside a pipeline."""
-    scored = score_quality(ds, weights, n_buckets, text_col, concurrency)
+    scored = score_quality(ds, weights, n_buckets, text_col)
 
     def keep(t: pa.Table) -> pa.Table:
         logit = t.column("quality_logit").to_numpy(zero_copy_only=False).astype(np.float64)
@@ -227,8 +232,6 @@ def unigram_count_bits(
     Returns ``(bits_ref, default_bits, n_total_tokens)`` where bits(t) =
     floor(log2(N // c(t))) — integer-exact, so the DuckDB oracle
     (length(bin(N // c)) - 1) can never drift on float rounding."""
-    import ray
-
     from ..stages.shuffle import bucketed_group_apply
 
     def partial_counts(t: pa.Table) -> pa.Table:
@@ -259,16 +262,14 @@ def unigram_count_bits(
 
 
 class UnigramSurprisal:
-    """Actor-pool stage (pass 2): append ``unigram_surprisal_bits`` — the
-    sum of per-token surprisal bits over a doc's tokens (higher = more
-    rare-token mass; the integer-exact stand-in for CCNet's KenLM document
-    perplexity). The bits table is fetched from the object store once per
-    actor in ``__init__``, never per batch."""
+    """Map stage (pass 2): append ``unigram_surprisal_bits`` — the sum of
+    per-token surprisal bits over a doc's tokens (higher = more rare-token
+    mass; the integer-exact stand-in for CCNet's KenLM document
+    perplexity). Built once per worker from the broadcast bits table
+    (``stages.memo``), never per batch."""
 
-    def __init__(self, bits_ref, default_bits: int, text_col: str = "text"):
-        import ray
-
-        self.bits = ray.get(bits_ref) if not isinstance(bits_ref, dict) else bits_ref
+    def __init__(self, bits: dict, default_bits: int, text_col: str = "text"):
+        self.bits = bits
         self.default_bits = int(default_bits)
         self.text_col = text_col
 
@@ -299,7 +300,6 @@ def unigram_surprisal(
     text_col: str = "text",
     min_count: int = 1,
     num_buckets: int | None = None,
-    concurrency=(1, 8),
 ):
     """Two-pass unigram surprisal over one Dataset: counts (executes
     eagerly, one exchange + vocab collect) then a streaming scoring map.
@@ -307,16 +307,7 @@ def unigram_surprisal(
     read should ``materialize()`` first (same rule as the pipeline branch
     points)."""
     bits_ref, default_bits, _ = unigram_count_bits(ds, text_col, min_count, num_buckets)
-    return ds.map_batches(
-        UnigramSurprisal,
-        fn_constructor_kwargs={
-            "bits_ref": bits_ref,
-            "default_bits": default_bits,
-            "text_col": text_col,
-        },
-        batch_format="pyarrow",
-        concurrency=concurrency,
-    )
+    return map_with_state(ds, UnigramSurprisal, bits_ref, default_bits, text_col)
 
 
 def surprisal_filter(
@@ -325,7 +316,6 @@ def surprisal_filter(
     text_col: str = "text",
     min_count: int = 1,
     num_buckets: int | None = None,
-    concurrency=(1, 8),
 ):
     """Drop documents whose MEAN token surprisal exceeds ``max_mean_bits``
     — the CCNet move (filter on document perplexity under a corpus LM):
@@ -335,7 +325,7 @@ def surprisal_filter(
     Consumes ``ds`` TWICE (counts pass, then the scoring pass) — callers
     with a non-trivial upstream lineage must ``materialize()`` first (the
     corpus pipeline does)."""
-    scored = unigram_surprisal(ds, text_col, min_count, num_buckets, concurrency)
+    scored = unigram_surprisal(ds, text_col, min_count, num_buckets)
 
     def keep(t: pa.Table) -> pa.Table:
         bits = t.column("unigram_surprisal_bits").to_numpy(zero_copy_only=False)
@@ -369,9 +359,9 @@ def _gumbel_keys(doc_ids: "np.ndarray", seed: int) -> "np.ndarray":
 
 
 class _BucketCountPartials:
-    """Actor-pool partial counter for ``hashed_bucket_counts``: per-batch
-    sparse (bucket, count) rows, md5 once per DISTINCT feature with the
-    same per-actor memo discipline as HashedNgramQuality."""
+    """Partial counter stage for ``hashed_bucket_counts``: per-batch sparse
+    (bucket, count) rows, md5 once per DISTINCT feature with the same
+    per-worker memo discipline as HashedNgramQuality."""
 
     def __init__(self, n_buckets: int, text_col: str):
         self.n_buckets = n_buckets
@@ -385,15 +375,7 @@ class _BucketCountPartials:
         if not feats:
             return pa.table({"b": pa.array([], pa.int64()), "c": pa.array([], pa.int64())})
         uniq, counts = np.unique(np.asarray(feats, dtype=object), return_counts=True)
-        bks = np.empty(len(uniq), np.int64)
-        for i, f in enumerate(uniq):
-            b = self._memo.get(f)
-            if b is None:
-                b = _feature_bucket(f, self.n_buckets)
-                if len(self._memo) >= _MEMO_MAX:
-                    self._memo.clear()
-                self._memo[f] = b
-            bks[i] = b
+        bks = _memo_buckets(self._memo, uniq, self.n_buckets)
         # several features can hash to one bucket: second reduce map-side
         dense = np.bincount(bks, weights=counts.astype(np.float64))
         nz = np.nonzero(dense)[0]
@@ -410,7 +392,6 @@ def hashed_bucket_counts(
     text_col: str = "text",
     n_buckets: int = DEFAULT_N_BUCKETS,
     num_buckets: int | None = None,
-    concurrency=(1, 8),
 ) -> "np.ndarray":
     """Corpus-wide hashed-feature bucket counts (the DSIR raw-distribution
     pass): map-side SPARSE partials → one narrow (bucket, count) exchange →
@@ -423,12 +404,7 @@ def hashed_bucket_counts(
         return df.groupby("b", as_index=False, sort=False)["c"].sum()
 
     rows = bucketed_group_apply(
-        ds.select_columns([text_col]).map_batches(
-            _BucketCountPartials,
-            fn_constructor_kwargs={"n_buckets": n_buckets, "text_col": text_col},
-            batch_format="pyarrow",
-            concurrency=concurrency,
-        ),
+        map_with_state(ds.select_columns([text_col]), _BucketCountPartials, n_buckets, text_col),
         ["b"], merge, num_buckets=num_buckets,
     ).to_pandas()  # ≤ n_buckets rows
     out = np.zeros(n_buckets, np.int64)
@@ -471,6 +447,19 @@ def dsir_log_ratio(
     )
 
 
+class _KeepWinners:
+    """Map stage: keep rows whose id is in the broadcast DSIR winner set."""
+
+    def __init__(self, winners: frozenset, id_col: str):
+        self.value_set = pa.array(sorted(winners), pa.int64())
+        self.id_col = id_col
+
+    def __call__(self, t: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+
+        return t.filter(pc.is_in(t.column(self.id_col).cast(pa.int64()), value_set=self.value_set))
+
+
 def dsir_resample(
     docs,
     target_texts,
@@ -483,7 +472,6 @@ def dsir_resample(
     text_col: str = "text",
     num_buckets: int | None = None,
     broadcast_max_winners: int = 2_000_000,
-    concurrency=(1, 8),
     metrics_out: dict | None = None,
 ):
     """Row-keeping DSIR selection: keep the ``k`` documents of ``docs``
@@ -496,8 +484,9 @@ def dsir_resample(
     1. raw bucket counts: one narrow (bucket, count) exchange + a
        feature-space-sized driver collect (``hashed_bucket_counts``);
        target counts are driver-side;
-    2. scoring: the log-ratio vector ships once per actor and scoring is
-       the existing ``HashedNgramQuality`` streaming map (no exchange);
+    2. scoring: the log-ratio vector ships once via ``ray.put`` and
+       scoring is the existing ``HashedNgramQuality`` streaming map (no
+       exchange);
     3. selection: per-batch local top-k FIRST (the combiner), then a
        global sort+limit over the reduced stream (≤ k rows per input
        block — corpus-independent, so the all-to-all stays cheap at any
@@ -511,23 +500,19 @@ def dsir_resample(
     Deterministic for a fixed input and ``seed``; a seed change is a
     fresh draw. ``metrics_out`` receives ``dsir_selected`` and the two
     feature totals."""
-    import ray
-
     if k <= 0:
         raise ValueError("k must be positive")
     if not target_texts:
         raise ValueError("target_texts must be non-empty (the DSIR target corpus)")
 
-    raw_counts = hashed_bucket_counts(docs, text_col, n_buckets, num_buckets, concurrency)
+    raw_counts = hashed_bucket_counts(docs, text_col, n_buckets, num_buckets)
     tgt_counts = driver_bucket_counts(target_texts, n_buckets)
     lr = dsir_log_ratio(raw_counts, tgt_counts, alpha)
     if metrics_out is not None:
         metrics_out["dsir_raw_feats"] = int(raw_counts.sum())
         metrics_out["dsir_target_feats"] = int(tgt_counts.sum())
 
-    scored = score_quality(
-        docs, weights=lr, n_buckets=n_buckets, text_col=text_col, concurrency=concurrency
-    )
+    scored = score_quality(docs, weights=lr, n_buckets=n_buckets, text_col=text_col)
 
     def local_topk(t: pa.Table) -> pa.Table:
         ids = t.column(id_col).cast(pa.int64()).to_numpy(zero_copy_only=False)
@@ -548,23 +533,7 @@ def dsir_resample(
 
     if n_sel <= broadcast_max_winners:
         ref = ray.put(frozenset(winners.to_pandas()[id_col].astype("int64").tolist()))
-
-        class _KeepWinners:
-            def __init__(self, r, id_col: str):
-                self.value_set = pa.array(sorted(ray.get(r)), pa.int64())
-                self.id_col = id_col
-
-            def __call__(self, t: pa.Table) -> pa.Table:
-                import pyarrow.compute as pc
-
-                return t.filter(
-                    pc.is_in(t.column(self.id_col).cast(pa.int64()), value_set=self.value_set)
-                )
-
-        return docs.map_batches(
-            _KeepWinners, fn_constructor_kwargs={"r": ref, "id_col": id_col},
-            batch_format="pyarrow", concurrency=concurrency,
-        )
+        return map_with_state(docs, _KeepWinners, ref, id_col)
 
     from .joins import _arrow_types, semi_join
 

@@ -252,6 +252,8 @@ def dedup_paragraphs_global(
     - exchange 2 (keyed by doc_id): the exploded text rows and the drop
       markers meet in the doc's bucket; reassembly filters dropped
       positions, rejoins with ``sep`` in original order, and counts drops.
+      Two text rows with one ``(id, par_idx)`` mean two docs share an id:
+      reassembly raises ``ValueError`` naming it rather than merge them.
     Duplicate-heavy corpora shrink exchange 2's marker side, never grow it
     past the paragraph count.
 
@@ -335,6 +337,8 @@ def dedup_paragraphs_global(
         for d, rows in g.groupby(id_col, sort=False):
             dropped = set(rows.loc[rows["_drop"] == 1, "par_idx"])
             body = rows[rows["_drop"] == 0].sort_values("par_idx", kind="mergesort")
+            if body["par_idx"].duplicated().any():
+                raise ValueError(f"duplicate {id_col} {d!r}: ids must be unique per document")
             kept = body[~body["par_idx"].isin(dropped)]
             out_ids.append(d)
             out_texts.append(sep.join(kept["par_text"]))

@@ -189,7 +189,7 @@ _LANG_PROFILES = {
 
 
 class LangId:
-    """Actor-pool stage: predict language from stopword-profile overlap.
+    """Map stage: predict language from stopword-profile overlap.
 
     Ties / no hits → 'und'. (On the synthetic corpus every text is the same
     English-ish word soup, so this exists to exercise the stage shape; the

@@ -13,7 +13,7 @@ reference twin — it is what produces such a corpus):
 2. **decontamination** — drop docs colliding with the benchmark suite by
    whole n-grams (``functions/decontam``, broadcast small side);
 3. **language / length gate** — keep allowlisted LangId predictions with
-   at least ``min_tokens`` whitespace tokens (one stateful actor pass);
+   at least ``min_tokens`` whitespace tokens (one stateless map pass);
    with ``quality_gate=True``, the Gopher quality rules follow (token
    count, mean token length, stopword fraction —
    ``functions/textstats.gopher_quality_batch``, integer-exact);
@@ -36,10 +36,13 @@ reference twin — it is what produces such a corpus):
 7. **sink** — partitioned Parquet with an atomic manifest
    (``io.write_table_distributed``), resumable by fingerprint.
 
-Every stage is a streaming Dataset transform; the only exchanges are the
-ones the operators themselves declare (dedup hash partitions, the
-paragraph-dedup coord/reassembly pair, the pack bucketing). Nothing
-materializes the corpus on the driver.
+Every stage is a streaming Dataset transform of stateless map tasks (no
+actor pool, so the chain runs on one Ray slot); the only exchanges are
+the ones the operators themselves declare (dedup hash partitions, the
+paragraph-dedup coord/reassembly pair, the pack bucketing). Both
+pipelines declare their chain as one stage list that ``_run_stages``
+executes, materializing only the boundaries a stage reads more than
+once. Nothing materializes the corpus on the driver.
 """
 
 from __future__ import annotations
@@ -314,18 +317,35 @@ def iter_training_batches(
         }
 
 
-def _lang_length_gate(docs, allow: tuple, min_tokens: int):
-    """Stage-3 gate shared by prepare and append: LangId actor pool +
+def _rename_text(docs, text_col: str):
+    """Normalize the text column name to ``text`` at entry: several stages
+    (LangId, the paragraph/span dedup reassembly) produce/consume the
+    literal "text", so a custom ``text_col`` is renamed up front (zero-copy
+    Arrow metadata change) rather than threaded through every stage."""
+    if text_col == "text":
+        return docs
+
+    def rename(t: pa.Table) -> pa.Table:
+        if "text" in t.schema.names:
+            raise ValueError(
+                f"input already has a 'text' column alongside text_col={text_col!r}; rename one"
+            )
+        return t.rename_columns(["text" if n == text_col else n for n in t.schema.names])
+
+    return docs.map_batches(rename, batch_format="pyarrow")
+
+
+def _gate_stages(benchmark_texts: list[str], contam_n: int, allow: tuple, min_tokens: int):
+    """Stages 2-3, shared by prepare and append: benchmark decontamination
+    (filter mode: clean rows only), then the gate — LangId map +
     whitespace-token length floor over the normalized ``text`` column.
-    ``allow=()`` disables the language half — and skips the LangId actor
-    pool entirely (no point scoring a column the gate never reads)."""
+    ``allow=()`` disables the language half — and skips the LangId pass
+    entirely (no point scoring a column the gate never reads)."""
     import pyarrow.compute as pc
 
-    allow = tuple(allow)
-    if allow:
-        from ..functions.textstats import LangId
-
-        docs = docs.map_batches(LangId, batch_format="pyarrow", concurrency=(1, 4))
+    from ..functions.decontam import ngram_decontaminate
+    from ..functions.textstats import LangId
+    from ..stages.memo import map_with_state
 
     def gate(t: pa.Table) -> pa.Table:
         n_toks = pa.array(
@@ -337,7 +357,56 @@ def _lang_length_gate(docs, allow: tuple, min_tokens: int):
             return t.filter(keep).drop_columns(["lang_pred"])
         return t.filter(keep)
 
-    return docs.map_batches(gate, batch_format="pyarrow")
+    def lang_length_gate(d):
+        if allow:
+            d = map_with_state(d, LangId)
+        return d.map_batches(gate, batch_format="pyarrow")
+
+    return [
+        ("n_after_decontam",
+         lambda d: ngram_decontaminate(d, benchmark_texts, n=contam_n, mode="filter"), False),
+        ("n_after_gate", lang_length_gate, False),
+    ]
+
+
+def _pack_stages(id_col: str, max_tokens: int, overlap: int, pack_budget: int, id_salt: str = ""):
+    """Stages 5-6, shared by prepare and append: chunk then pack.
+    pack_chunks keeps its own FIXED num_buckets: bucket count defines pack
+    COMPOSITION, which must not vary with the cluster-sizing knob."""
+    from ..functions.textchunk import chunk_documents
+    from ..functions.textpack import pack_chunks
+
+    return [
+        (None, lambda d: chunk_documents(
+            d.select_columns([id_col, "text"]), max_tokens=max_tokens, overlap=overlap,
+            id_col=id_col,
+        ), False),
+        (None, lambda d: pack_chunks(d, budget=pack_budget, id_col=id_col, id_salt=id_salt), False),
+    ]
+
+
+def _run_stages(docs, stages: list, collect_counts: bool, metrics: dict):
+    """Run ``(count key, fn, reads input more than once)`` stages in order.
+
+    A stage that reads its input more than once gets it materialized first
+    (unless it already is), so the upstream prefix executes once — the
+    "Selecting Subexpressions to Materialize" (VLDB 2018) rule: a boundary
+    is materialized only where more than one consumer reads it; the object
+    store spills if the corpus exceeds memory. With ``collect_counts``
+    every keyed boundary is also materialized and its row count lands in
+    ``metrics[key]`` (counting a LAZY stage would re-run everything
+    upstream once per count); without it the chain streams end-to-end
+    with no other barrier."""
+    from ray.data.dataset import MaterializedDataset
+
+    for key, fn, multi in stages:
+        if multi and not isinstance(docs, MaterializedDataset):
+            docs = docs.materialize()
+        docs = fn(docs)
+        if collect_counts and key is not None:
+            docs = docs.materialize()
+            metrics[key] = docs.count()
+    return docs
 
 
 def _distinct_fps(docs, num_buckets: int):
@@ -407,20 +476,21 @@ def prepare_training_set(
 
     ``collect_counts`` materializes each stage boundary so the count is
     free and the lineage is never re-executed (counting a LAZY stage would
-    re-run everything upstream once per count — and re-entering an
-    actor-pool stage from two consumers can deadlock a small cluster).
-    Leave it False for production-size runs: the pipeline then streams
-    end-to-end with no barrier, and the only count is the manifest's.
+    re-run everything upstream once per count). Leave it False for
+    production-size runs: the pipeline then streams end-to-end, with a
+    barrier only where a stage reads its input more than once, and the
+    only count is the manifest's.
 
     ``lang_allow=()`` disables the language gate (length gate still
     applies); packs are deterministic for a fixed input and knob set, so
     ``fingerprint`` should encode the knobs when callers vary them.
 
-    ``mixture_weights`` requires integer ``id_col`` values (type-checked
-    up front — composite copy ids are ``id*stride+epoch``) that are
-    unique across the corpus: uniqueness is already what makes pack
-    provenance meaningful, and a duplicated id would silently fan out
-    through the stage-4c join.
+    ``id_col`` values must be unique across the corpus (uniqueness is what
+    makes pack provenance meaningful): the paragraph-dedup reassembly
+    (stage 4, where same-id rows meet) raises ``ValueError`` naming a
+    duplicated id, before it could merge two docs or fan out through the
+    stage-4c join. ``mixture_weights`` also requires integer ids
+    (type-checked up front — composite copy ids are ``id*stride+epoch``).
 
     ``shuffle_buckets`` pins the sort width of EVERY exchange in the chain
     (dedup, join, paragraph-dedup pair; packing has its own fixed bucket
@@ -432,19 +502,8 @@ def prepare_training_set(
     import pyarrow.compute as pc
 
     from .. import io as gio
-    from ..functions.decontam import ngram_decontaminate
     from ..functions.dedup import exact_dedup_rows, fuzzy_dedup_rows
-    from ..functions.textchunk import chunk_documents
     from ..functions.textclean import dedup_paragraphs_global, dedup_spans_global
-    from ..functions.textpack import pack_chunks
-
-    def checkpoint(ds, key: str):
-        """Optionally materialize + count a stage boundary."""
-        if not collect_counts:
-            return ds
-        ds = ds.materialize()
-        metrics[key] = ds.count()
-        return ds
 
     if track_minhash_jaccard is not None and not track_doc_keys:
         raise ValueError("track_minhash_jaccard requires track_doc_keys=True")
@@ -456,41 +515,22 @@ def prepare_training_set(
             raise ValueError("dsir_k must be positive")
         if not dsir_target_texts:
             raise ValueError("dsir_target_texts must be non-empty (the DSIR target corpus)")
+    if fuzzy_jaccard is not None and id_col != "doc_id":
+        raise ValueError("fuzzy_jaccard requires doc_id/text column names")
 
     metrics: dict = {}
-    # normalize the text column name ONCE at entry: several stages
-    # (LangId, the paragraph/span dedup reassembly) produce/consume the
-    # literal "text", so a custom text_col is renamed up front (zero-copy
-    # Arrow metadata change) rather than threaded through every stage
-    if text_col != "text":
-        _orig_text_col = text_col
-
-        def _canon_text(t: pa.Table) -> pa.Table:
-            if "text" in t.schema.names:
-                raise ValueError(
-                    f"input already has a 'text' column alongside text_col="
-                    f"{_orig_text_col!r}; rename one"
-                )
-            return t.rename_columns(
-                ["text" if n == _orig_text_col else n for n in t.schema.names]
-            )
-
-        docs = docs.map_batches(_canon_text, batch_format="pyarrow")
-        text_col = "text"
     # normalized INPUT reference for the optional doc-keys state (stage 7b):
     # re-reading the read-backed input is the documented cheap path (same
     # rule as the mixture strata projection below)
-    input_docs = docs
-    docs = checkpoint(docs, "n_input")
+    docs = input_docs = _rename_text(docs, text_col)
     # narrow (id, stratum) projection for the optional mixture stage (4c);
     # taken from the INPUT so the stratum is ground-truth metadata (crawl
     # source/domain/lang), not a post-dedup recomputation. Consuming it at
     # join time re-executes the input lineage once — pass a read-backed
     # (or pre-materialized) Dataset when the input prefix is expensive.
-    # PRECONDITIONS validated up front (fail fast, before the expensive
+    # PRECONDITION validated up front (fail fast, before the expensive
     # dedup stages): integer ids (the composite id = id*stride+epoch needs
-    # them; ids must already be unique for pack provenance to mean
-    # anything — duplicates would fan out through the stage-4c join).
+    # them).
     strata = None
     strata_types: dict = {}
     if mixture_weights is not None:
@@ -506,38 +546,29 @@ def prepare_training_set(
                 f"(composite copy ids are id*stride+epoch); got {strata_types[id_col]}"
             )
 
+    # The chain, built once from the knobs as (count key, stage, reads its
+    # input more than once) entries; _run_stages owns every materialize
+    # and count. The identity entry is the input boundary (n_input).
+    stages: list = [("n_input", lambda d: d, False)]
     # 1. exact dedup, fused: the min-doc_id row per distinct text survives
     # in ONE exchange (the doc rows shuffle by text fingerprint directly —
     # parity-tested against the composed exact_dedup + semi-join form,
     # which shipped the same text through a second join exchange)
-    docs = exact_dedup_rows(
-        docs, num_buckets=shuffle_buckets, id_col=id_col, text_col=text_col
-    )
-    docs = checkpoint(docs, "n_after_exact_dedup")
+    stages.append(("n_after_exact_dedup",
+                   lambda d: exact_dedup_rows(d, num_buckets=shuffle_buckets, id_col=id_col), False))
 
     # 1b. optional corpus-wide fuzzy dedup (MinHash-LSH clusters → the
     # min-id doc per near-dup cluster survives). BRANCH POINT: the pair
     # generator consumes its input twice (band rows, then shingle payloads)
-    # and the loser filter a third time — materialize the boundary so the
-    # upstream prefix runs once (same rule as the paragraph-dedup stage).
+    # and the loser filter a third time (same rule as the paragraph-dedup
+    # stage).
     if fuzzy_jaccard is not None:
-        if (id_col, text_col) != ("doc_id", "text"):
-            raise ValueError("fuzzy_jaccard requires doc_id/text column names")
-        if not collect_counts:
-            docs = docs.materialize()
-        docs = fuzzy_dedup_rows(
-            docs, fuzzy_jaccard, num_buckets=shuffle_buckets, metrics_out=metrics
-        )
-        docs = checkpoint(docs, "n_after_fuzzy_dedup")
+        stages.append(("n_after_fuzzy_dedup", lambda d: fuzzy_dedup_rows(
+            d, fuzzy_jaccard, num_buckets=shuffle_buckets, metrics_out=metrics), True))
 
-    # 2. benchmark decontamination (filter mode: clean rows only)
-    docs = ngram_decontaminate(docs, benchmark_texts, n=contam_n, text_col=text_col, mode="filter")
-    docs = checkpoint(docs, "n_after_decontam")
-
-    # 3. language + length gate
+    # 2-3. benchmark decontamination + language/length gate
     allow = tuple(lang_allow)
-    docs = _lang_length_gate(docs, allow, min_tokens)
-    docs = checkpoint(docs, "n_after_gate")
+    stages += _gate_stages(benchmark_texts, contam_n, allow, min_tokens)
 
     # 3b. optional Gopher quality gate (integer-exact thresholds: token
     # count, mean token length, stopword fraction — the q13 probe rules,
@@ -546,75 +577,57 @@ def prepare_training_set(
         from ..functions.textstats import gopher_quality_batch
 
         def qgate(t: pa.Table) -> pa.Table:
-            g = gopher_quality_batch(
-                pa.table({"doc_id": t.column(id_col), "text": t.column(text_col)})
-            )
+            g = gopher_quality_batch(pa.table({"doc_id": t.column(id_col), "text": t.column("text")}))
             return t.filter(g.column("passes_gopher"))
 
-        docs = docs.map_batches(qgate, batch_format="pyarrow")
-        docs = checkpoint(docs, "n_after_quality_gate")
+        stages.append(("n_after_quality_gate", lambda d: d.map_batches(qgate, batch_format="pyarrow"), False))
 
     # 3c. optional MODEL quality gate (fasttext-style hashed n-gram linear
     # scorer, functions/quality.py): keep docs whose mean feature weight
-    # clears the bar. Weight vector is actor state, loaded once per
-    # worker; another pure streaming map, no exchange. Pass trained
-    # weights via ``model_quality_weights`` (stub weights otherwise —
-    # useful for tests, meaningless as a real quality signal).
+    # clears the bar. The weight vector broadcasts once and each worker
+    # builds the scorer once; another pure streaming map, no exchange.
+    # Pass trained weights via ``model_quality_weights`` (stub weights
+    # otherwise — useful for tests, meaningless as a real quality signal).
     if model_quality_min is not None:
         from ..functions.quality import quality_filter
 
-        docs = quality_filter(
-            docs, model_quality_min, weights=model_quality_weights, text_col=text_col
-        )
-        docs = checkpoint(docs, "n_after_model_quality")
+        stages.append(("n_after_model_quality", lambda d: quality_filter(
+            d, model_quality_min, weights=model_quality_weights), False))
 
     # 3d. optional corpus-LM surprisal gate (functions/quality.py): drop
     # docs whose mean token surprisal under the corpus's own unigram LM
     # exceeds the bar — the CCNet perplexity filter in integer-bits form.
     # BRANCH POINT: the operator consumes its input twice (global counts
-    # pass, then scoring), so the boundary materializes first.
+    # pass, then scoring).
     if surprisal_max_bits is not None:
         from ..functions.quality import surprisal_filter
 
-        if not collect_counts:
-            docs = docs.materialize()
-        docs = surprisal_filter(
-            docs, surprisal_max_bits, text_col=text_col, num_buckets=shuffle_buckets
-        )
-        docs = checkpoint(docs, "n_after_surprisal")
+        stages.append(("n_after_surprisal", lambda d: surprisal_filter(
+            d, surprisal_max_bits, num_buckets=shuffle_buckets), True))
 
     # 4. global paragraph dedup (single-paragraph docs == sentence-level
     # exact dedup already ran, so this bites on multi-paragraph corpora).
-    # BRANCH POINT: the operator consumes its input twice (a coords-only
-    # pass that elects winners, then the text pass the markers rejoin) —
-    # un-materialized, the whole upstream prefix (read → dedup → join →
-    # decontam → gate) would execute twice (measured 2× end-to-end at
-    # sf0.1). Same rule as pipelines/kg.py's branch points; the object
-    # store spills if the gated corpus exceeds memory.
-    if not collect_counts:  # checkpoint() already materialized this boundary
-        docs = docs.materialize()
-    docs = dedup_paragraphs_global(
-        docs.select_columns([id_col, text_col]), text_col=text_col, id_col=id_col,
-        num_buckets=shuffle_buckets,
-    )
-    docs = docs.filter(expr="text != ''")
-    docs = checkpoint(docs, "n_after_paragraph_dedup")
+    # Same-id rows meet in its reassembly exchange, which refuses a
+    # duplicated id. BRANCH POINT: the operator consumes its input twice (a
+    # coords-only pass that elects winners, then the text pass the markers
+    # rejoin) — un-materialized, the whole upstream prefix (read → dedup →
+    # join → decontam → gate) would execute twice (measured 2× end-to-end
+    # at sf0.1). Same rule as pipelines/kg.py's branch points.
+    stages.append(("n_after_paragraph_dedup", lambda d: dedup_paragraphs_global(
+        d.select_columns([id_col, "text"]), id_col=id_col, num_buckets=shuffle_buckets,
+    ).filter(expr="text != ''"), True))
 
     # 4b. optional cross-doc duplicated-SPAN removal (exact substring
     # dedup, window form): repeated regions shorter than a paragraph —
     # boilerplate headers, license blurbs — survive stages 1 and 4; this
     # splices them out everywhere but their globally first site. BRANCH
     # POINT: the operator consumes its input twice (coords pass, then the
-    # marker/doc reassembly) — same materialize rule as stage 4.
+    # marker/doc reassembly) — same rule as stage 4.
     if span_dedup_k is not None:
-        if not collect_counts:  # checkpoint() already materialized the boundary
-            docs = docs.materialize()
-        docs = dedup_spans_global(
-            docs.select_columns([id_col, "text"]), k=span_dedup_k,
+        stages.append(("n_after_span_dedup", lambda d: dedup_spans_global(
+            d.select_columns([id_col, "text"]), k=span_dedup_k,
             id_col=id_col, num_buckets=shuffle_buckets,
-        )
-        docs = docs.filter(expr="text != ''")
-        docs = checkpoint(docs, "n_after_span_dedup")
+        ).filter(expr="text != ''"), True))
 
     # 4b2. optional DSIR importance resampling (Xie et al. 2023): keep the
     # dsir_k docs whose hashed-n-gram distribution best matches the trusted
@@ -626,15 +639,11 @@ def prepare_training_set(
     if dsir_k is not None:
         from ..functions.quality import dsir_resample
 
-        if not collect_counts:
-            docs = docs.materialize()
-        docs = docs.select_columns([id_col, text_col])  # drop stage count cols
-        docs = dsir_resample(
-            docs, dsir_target_texts, dsir_k, seed=dsir_seed,
-            id_col=id_col, text_col=text_col, num_buckets=shuffle_buckets,
-            metrics_out=metrics,
-        )
-        docs = checkpoint(docs, "n_after_dsir")
+        stages.append(("n_after_dsir", lambda d: dsir_resample(
+            d.select_columns([id_col, "text"]),  # drop stage count cols
+            dsir_target_texts, dsir_k, seed=dsir_seed, id_col=id_col,
+            num_buckets=shuffle_buckets, metrics_out=metrics,
+        ), True))
 
     # 4c. optional static domain reweighting (mixture_sample, weights may
     # exceed 1): AFTER every dedup stage — repeats added earlier would
@@ -652,79 +661,78 @@ def prepare_training_set(
         # {} is coherent ("drop every stratum") — stride just needs a value
         stride = max((int(w) + 1 for w in mixture_weights.values()), default=1)
         metrics["mixture_id_stride"] = stride
-        # BRANCH-POINT + schema-probe rule: docs here is the lazy output of
+
+        def composite(t: pa.Table) -> pa.Table:
+            new_id = pc.multiply(t.column(id_col).cast(pa.int64()), pa.scalar(stride, pa.int64()))
+            return t.drop_columns([id_col, mixture_col, "epoch"]).append_column(
+                id_col, pc.add(new_id, t.column("epoch"))
+            )
+
+        def mixture(d):
+            # explicit projection: the join keeps exactly left_types'
+            # columns, so drop the dedup stages' count columns HERE,
+            # visibly, rather than letting the join's column selection do
+            # it silently
+            joined = hash_join(
+                d.select_columns([id_col, "text"]), strata, id_col, id_col,
+                num_buckets=shuffle_buckets,
+                left_types={id_col: strata_types[id_col], "text": pa.string()},
+                right_types=dict(strata_types),
+            )
+            return mixture_sample(joined, id_col, mixture_col, mixture_weights).map_batches(
+                composite, batch_format="pyarrow"
+            )
+
+        # BRANCH-POINT + schema-probe rule: the input is the lazy output of
         # the dedup suffix; hash_join would otherwise probe its schema
         # (re-executing that suffix) and then execute it again for the join
         # itself. Materialize the boundary and pass both sides' types
         # explicitly so no probe runs at all.
-        if not collect_counts:  # checkpoint() already materialized otherwise
-            docs = docs.materialize()
-        # explicit projection: the join keeps exactly left_types' columns,
-        # so drop the dedup stages' count columns HERE, visibly, rather
-        # than letting the join's column selection do it silently
-        docs = docs.select_columns([id_col, text_col])
-        docs = hash_join(
-            docs, strata, id_col, id_col, num_buckets=shuffle_buckets,
-            left_types={id_col: strata_types[id_col], text_col: pa.string()},
-            right_types=dict(strata_types),
-        )
-        docs = mixture_sample(docs, id_col, mixture_col, mixture_weights)
-
-        def composite(t: pa.Table) -> pa.Table:
-            new_id = pc.add(
-                pc.multiply(
-                    t.column(id_col).cast(pa.int64()), pa.scalar(stride, pa.int64())
-                ),
-                t.column("epoch"),
-            )
-            return (
-                t.drop_columns([id_col, mixture_col, "epoch"]).append_column(id_col, new_id)
-            )
-
-        docs = docs.map_batches(composite, batch_format="pyarrow")
-        docs = checkpoint(docs, "n_after_mixture")
+        stages.append(("n_after_mixture", mixture, True))
 
     # 4d. optional corpus-trained tokenizer: ship the vocabulary WITH the
     # training set (the post-dedup/gate/mixture survivors ARE the
     # distribution the model will train on — upsampled strata weigh more,
     # exactly as they do in the token stream). Artifact lands at
     # {out_dir}/bpe.json; read it back with ``load_tokenizer``. BRANCH
-    # POINT: train_bpe consumes the stream once more — materialize the
-    # boundary so the dedup suffix runs once (same rule as stages 4/4b).
-    bpe_art = None
+    # POINT: train_bpe consumes the stream once more before chunking.
+    bpe_art: dict = {}
     if bpe_vocab_size is not None:
         from ..functions.bpe import train_bpe
 
-        if not collect_counts:
-            docs = docs.materialize()
-        bpe_art = train_bpe(
-            docs.select_columns([text_col]), text_col=text_col,
-            vocab_size=bpe_vocab_size, max_words=bpe_max_words,
-            num_buckets=shuffle_buckets,
-        )
-        metrics["bpe_merges"] = len(bpe_art["merges"])
+        def train(d):
+            bpe_art.update(train_bpe(d.select_columns(["text"]), vocab_size=bpe_vocab_size,
+                                     max_words=bpe_max_words, num_buckets=shuffle_buckets))
+            metrics["bpe_merges"] = len(bpe_art["merges"])
+            return d
+
+        stages.append((None, train, True))
 
     # 5-6. chunk then pack
-    chunks = chunk_documents(docs, max_tokens=max_tokens, overlap=overlap, id_col=id_col, text_col=text_col)
-    # pack_chunks keeps its own FIXED num_buckets: bucket count defines
-    # pack COMPOSITION, which must not vary with the cluster-sizing knob
-    packs = pack_chunks(chunks, budget=pack_budget, id_col=id_col)
+    stages += _pack_stages(id_col, max_tokens, overlap, pack_budget)
 
     # 6b. optional deterministic global shuffle: a rerun-stable
     # shuffle_key (md5 of seed:pack_id) + one sort over the packed
     # output — epoch reshuffles are a seed change, never a data rewrite.
     # Composition is untouched; only the emission order moves.
     if shuffle_seed is not None:
-        packs = packs.map_batches(
-            _shuffle_key_batch(shuffle_seed), batch_format="pyarrow"
-        ).sort("shuffle_key")
-        # the baked-order guarantee ("readers that stream files in order
-        # get this order") needs the sink's (task, block) file indices to
-        # follow the sorted block order — pin preserve_order for THIS
-        # lineage's execution (context is shared along it, so the seeded
-        # write trades a little scheduling freedom for determinism; the
-        # unseeded default path is untouched)
-        packs.context.execution_options.preserve_order = True
+
+        def shuffle(packs):
+            packs = packs.map_batches(
+                _shuffle_key_batch(shuffle_seed), batch_format="pyarrow"
+            ).sort("shuffle_key")
+            # the baked-order guarantee ("readers that stream files in order
+            # get this order") needs the sink's (task, block) file indices to
+            # follow the sorted block order — pin preserve_order for THIS
+            # lineage's execution (context is shared along it, so the seeded
+            # write trades a little scheduling freedom for determinism; the
+            # unseeded default path is untouched)
+            packs.context.execution_options.preserve_order = True
+            return packs
+
+        stages.append((None, shuffle, False))
+
+    packs = _run_stages(docs, stages, collect_counts, metrics)
 
     # 7. partitioned, resumable sink
     # mixture_col only reaches the fingerprint when the stage is ON — a
@@ -785,7 +793,7 @@ def prepare_training_set(
     # for the same reason; an artifact whose stamp matches the (unchanged)
     # set is kept — same packs, same distribution, still valid.
     bpe_path = os.path.join(out_dir, "bpe.json")
-    if bpe_art is not None:
+    if bpe_art:
         from ..functions.bpe import save_bpe
 
         bpe_art["set_fingerprint"] = fp
@@ -923,7 +931,10 @@ def append_training_set(
       against every signature ever ingested (Jaccard ESTIMATED from
       signature agreement — the state's text is never re-read; see
       ``functions.dedup.fuzzy_cross_dedup_rows`` for the broadcast/scan
-      shape and its batch-size gate). Toggling the knob on an existing
+      shape and its batch-size gate). The estimate (σ ≈ 0.045) errs both
+      ways: a doc just under the threshold is dropped a nontrivial fraction
+      of the time, irreversibly (its text still joins the seen-set), and
+      one just above can slip through. Toggling the knob on an existing
       set keeps the BASE packs (they don't depend on it) but rebuilds the
       keys state and sweeps every append slot — packs and keys — so
       previously appended batches re-run from scratch (stranded pack
@@ -943,11 +954,8 @@ def append_training_set(
     import pyarrow.parquet as pq
 
     from .. import io as gio
-    from ..functions.decontam import ngram_decontaminate
     from ..functions.dedup import exact_dedup_rows
     from ..functions.joins import _arrow_types, semi_join
-    from ..functions.textchunk import chunk_documents
-    from ..functions.textpack import pack_chunks
 
     # a falsy/non-string name would poison the slot hash AND the manifest
     # batch-match sweep (None == a missing "batch" key)
@@ -1041,13 +1049,7 @@ def append_training_set(
     # the rename is lazy, but the schema probe surfaces both collision
     # checks eagerly (metadata-cheap on read-backed inputs, one small
     # task on mapped ones — the same price _arrow_types already paid)
-    docs = docs_new
-    if text_col != "text":
-        def _canon(t: pa.Table) -> pa.Table:
-            if "text" in t.schema.names:
-                raise ValueError(f"input already has a 'text' column alongside text_col={text_col!r}")
-            return t.rename_columns(["text" if n == text_col else n for n in t.schema.names])
-        docs = docs_new.map_batches(_canon, batch_format="pyarrow")
+    docs = _rename_text(docs_new, text_col)
     in_types = _arrow_types(docs)
     if "fp" in in_types:
         raise ValueError("input already has an 'fp' column — rename it; 'fp' is the join key")
@@ -1174,6 +1176,7 @@ def append_training_set(
     fresh = fresh.materialize()
 
     am: dict = {}
+    stages: list = []
     if mh is not None:
         # near-dup screening, both scopes of prepare's fuzzy stage: (1)
         # WITHIN the batch (exact-Jaccard-verified MinHash clusters, the
@@ -1181,27 +1184,23 @@ def append_training_set(
         # (2) ACROSS runs against the persisted signature state (Jaccard
         # estimated from signature agreement — no text is ever re-read).
         # Both consume their input repeatedly; fresh is materialized and
-        # the intermediate is batch-sized, so materialize that too.
+        # the intermediate is batch-sized, so the runner materializes it.
         from ..functions.dedup import fuzzy_cross_dedup_rows, fuzzy_dedup_rows
 
-        kept_rows = fuzzy_dedup_rows(
-            fresh, mh["jaccard"], num_buckets=shuffle_buckets, metrics_out=am,
-            sig_col="sig",  # reuse the signatures computed above, not a second pass
-        ).materialize()
         state = gio.read_table_dir_ds(out_dir, "doc_keys", columns=["fp", "band_keys", "sig"])
-        kept_rows = fuzzy_cross_dedup_rows(
-            kept_rows, state, mh["jaccard"], n_bands=nb,
-            num_buckets=shuffle_buckets, metrics_out=am,
-        ).materialize()
-    else:
-        kept_rows = fresh
-
-    kept = ngram_decontaminate(kept_rows, benchmark_texts, n=contam_n, text_col="text", mode="filter")
-    kept = _lang_length_gate(kept, allow, min_tokens)
-    chunks = chunk_documents(
-        kept.select_columns([id_col, "text"]), max_tokens=max_tokens, overlap=overlap, id_col=id_col
-    )
-    packs = pack_chunks(chunks, budget=pack_budget, id_col=id_col, id_salt=afp[:12])
+        stages = [
+            (None, lambda d: fuzzy_dedup_rows(
+                d, mh["jaccard"], num_buckets=shuffle_buckets, metrics_out=am,
+                sig_col="sig",  # reuse the signatures computed above, not a second pass
+            ), True),
+            (None, lambda d: fuzzy_cross_dedup_rows(
+                d, state, mh["jaccard"], n_bands=nb, num_buckets=shuffle_buckets, metrics_out=am,
+            ), True),
+        ]
+    # then the same decontam → gate → chunk → pack stages as prepare
+    stages += _gate_stages(benchmark_texts, contam_n, allow, min_tokens)
+    stages += _pack_stages(id_col, max_tokens, overlap, pack_budget, id_salt=afp[:12])
+    packs = _run_stages(fresh, stages, False, am)
     screen_metrics = (
         {}
         if mh is None

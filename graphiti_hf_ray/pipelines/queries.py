@@ -778,6 +778,7 @@ def q36_langid(sf_dir: str) -> pd.DataFrame:
     from ..functions.decontam import ngram_decontaminate
     from ..functions.quality import score_quality
     from ..functions.textstats import LangId
+    from ..stages.memo import map_with_state
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     bench = [
@@ -788,8 +789,7 @@ def q36_langid(sf_dir: str) -> pd.DataFrame:
         )
     ]
     marked = ngram_decontaminate(ds, bench, n=_BENCH_N, mode="mark")
-    scored = score_quality(marked, concurrency=(1, 4))
-    out = scored.map_batches(LangId, batch_format="pyarrow", concurrency=(1, 4)).to_pandas()
+    out = map_with_state(score_quality(marked), LangId).to_pandas()
     return out[["doc_id", "lang_pred", "n_contaminated_ngrams", "quality_logit", "n_quality_feats"]]
 
 

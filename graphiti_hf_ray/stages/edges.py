@@ -33,10 +33,9 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
-
 from ..ids import md5_id, relation_uuid
 from .canonicalize import SEP
+from .memo import worker_state
 
 def _registry_functional_preds() -> frozenset:
     from ..state.types import default_registry
@@ -53,13 +52,11 @@ FUNCTIONAL_PREDS = _registry_functional_preds()
 
 class CanonicalRewrite:
     """map_batches stage: triples batch → endpoints rewritten to canonical
-    (uuid, name). ``map_ref`` is a ``ray.put`` ObjectRef of the dict
-    {(group, label, surface) key → (canon_name, canon_uuid)} — fetched once
-    per worker (``rewrite_batch``), zero-copy from the local object store
-    thereafter; a plain dict is used as is."""
+    (uuid, name). ``m`` is the dict {(group, label, surface) key →
+    (canon_name, canon_uuid)}; ``rewrite_batch`` is the task form over a
+    ``ray.put`` of it, built once per worker."""
 
-    def __init__(self, map_ref):
-        m = map_ref if isinstance(map_ref, dict) else ray.get(map_ref)
+    def __init__(self, m: dict):
         self._names = {k: v[0] for k, v in m.items()}
         self._uuids = {k: v[1] for k, v in m.items()}
 
@@ -97,24 +94,11 @@ class CanonicalRewrite:
         return out
 
 
-# Per-worker rewrite memo: a ray.put dict deserializes on every ray.get in
-# a task, so the stateless rewrite tasks keep one parsed CanonicalRewrite
-# per worker process, keyed by the ObjectRef. The hot map stages stay plain
-# TASKS (fully elastic, no actor-pool sizing) and build the O(vocabulary)
-# dicts once per worker, like an actor __init__ would. One slot: the edges
-# and MENTIONS jobs of a link phase share one map_ref.
-_REWRITE_MEMO: dict[str, CanonicalRewrite] = {}
-
-
 def rewrite_batch(batch: pa.Table, map_ref) -> pa.Table:
-    """Task form of CanonicalRewrite over a ``ray.put`` map, memoized per
-    worker process."""
-    key = map_ref.hex()
-    rw = _REWRITE_MEMO.get(key)
-    if rw is None:
-        _REWRITE_MEMO.clear()
-        rw = _REWRITE_MEMO[key] = CanonicalRewrite(map_ref)
-    return rw(batch)
+    """Task form of CanonicalRewrite over a ``ray.put`` map: the hot map
+    stages stay plain TASKS and build the O(vocabulary) dicts once per
+    worker (the edges and MENTIONS jobs of a link phase share one map_ref)."""
+    return worker_state(CanonicalRewrite, map_ref)(batch)
 
 
 def canon_map_dict(canon_map: pd.DataFrame) -> dict[str, tuple[str, str]]:

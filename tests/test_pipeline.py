@@ -1246,6 +1246,31 @@ def test_prepare_training_set_mixture(ray_session, tmp_path):
         )
 
 
+def test_prepare_training_set_refuses_duplicate_ids(ray_session, tmp_path):
+    """Two docs sharing an id meet in the paragraph-dedup reassembly
+    (stage 4), which raises naming the id instead of merging them into one
+    doc and fanning the id out through the mixture join."""
+    import numpy as np
+    import pandas as pd
+    import ray.data as rd
+
+    from graphiti_hf_ray.pipelines.corpus import prepare_training_set
+
+    docs = pd.DataFrame(
+        {
+            "doc_id": np.array([0, 1, 2, 3, 4, 4], dtype=np.int64),
+            "lang": ["en"] * 6,
+            "text": [f"doc {i} " + " ".join(f"w{i}_{j}" for j in range(10)) for i in range(6)],
+        }
+    )
+    with pytest.raises(ValueError, match="duplicate doc_id 4"):
+        prepare_training_set(
+            rd.from_pandas(docs), ["no overlap"], str(tmp_path / "dup"),
+            lang_allow=(), min_tokens=5, max_tokens=16, overlap=0, pack_budget=32,
+            mixture_weights={"en": 1.0}, collect_counts=True,
+        )
+
+
 def test_prepare_training_set_custom_text_col(ray_session, tmp_path):
     """text_col != 'text' is normalized once at entry and produces the
     byte-identical pack set a 'text'-named input produces."""
@@ -2113,6 +2138,67 @@ def test_corpus_cli_append_refuses_prepare_flags_at_default(tmp_path):
         assert r.returncode == 2, (flag, r.returncode, r.stderr[-2000:])
         assert flag in r.stderr, (flag, r.stderr[-2000:])
     assert not (tmp_path / "out").exists()
+
+
+def _run_one_slot(args: list, timeout: float = 180) -> dict:
+    """Run the corpus CLI on one Ray slot in its own process group (a hung
+    run is killed with the Ray processes it started); return its metrics."""
+    import json
+    import signal
+    import subprocess
+    import sys
+
+    script = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts", "run_corpus_job.py")
+    p = subprocess.Popen(
+        [sys.executable, script, "--num-cpus", "1", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        out, err = p.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(p.pid, signal.SIGKILL)
+        p.communicate()
+        pytest.fail(f"corpus job on one slot had no result after {timeout:.0f} s: {args}")
+    assert p.returncode == 0, (args, err[-3000:])
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def test_corpus_job_runs_on_one_slot(tmp_path):
+    """Every stage prepare and append can start is a stateless map, so the
+    corpus CLI finishes at ``--num-cpus 1`` (an actor pool would hold the
+    only slot its upstream tasks need): a signature-tracking prepare, a
+    near-dup-screened append of a segment with planted exact and near
+    copies (drop counts exact), and a prepare through the LangId,
+    model-quality, surprisal and DSIR stages."""
+    import pyarrow as pa
+
+    from perfbench import inputs
+
+    base = inputs.corpus_base(3, 400)
+    seg, expect = inputs.corpus_segment(3, base, 0, 200, 40, 40, 20)
+    for name, t in (("base", base), ("seg", seg), ("target", base.slice(0, 20))):
+        pq.write_table(t, str(tmp_path / f"{name}.parquet"))
+    pq.write_table(pa.table({"text": inputs.contamination_texts(3)}), str(tmp_path / "bench.parquet"))
+    common = ["--benchmark", str(tmp_path / "bench.parquet"), "--max-tokens", "64", "--overlap", "8",
+              "--pack-budget", "256", "--shuffle-buckets", "4"]
+    out = str(tmp_path / "set")
+
+    m = _run_one_slot(["--docs", str(tmp_path / "base.parquet"), "--out", out, "--lang-allow", "",
+                       "--track-doc-keys", "--track-minhash-jaccard", "0.7", *common])
+    assert m["n_doc_keys"] == 400 and m["n_packs"] > 0
+    m = _run_one_slot(["--docs", str(tmp_path / "seg.parquet"), "--out", out, "--lang-allow", "",
+                       "--append-batch", "segment-0", *common])
+    assert {k: m[k] for k in expect} == expect
+    assert m["n_packs_appended"] > 0
+
+    # the corpus is one synthetic vocabulary, so LangId says 'und'; the
+    # thresholds keep every doc and DSIR keeps k
+    m = _run_one_slot(["--docs", str(tmp_path / "base.parquet"), "--out", str(tmp_path / "gated"),
+                       "--lang-allow", "und", "--model-quality-min", "-40000",
+                       "--surprisal-max-bits", "64", "--dsir-target", str(tmp_path / "target.parquet"),
+                       "--dsir-k", "100", "--counts", *common])
+    assert (m["n_after_gate"], m["n_after_model_quality"], m["n_after_surprisal"]) == (400, 400, 400)
+    assert m["n_after_dsir"] == m["dsir_selected"] == 100 and m["n_packs"] > 0
 
 
 def test_append_training_set_stale_doc_keys(ray_session, tmp_path):
