@@ -27,10 +27,15 @@ import tempfile
 import threading
 import time
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 MANIFEST = "_manifest.json"
+# an episodes shard's sorted distinct url hashes (``url_hashes``), written
+# beside its part file; the leading '_' keeps parquet readers off it
+URL_HASHES = "_url_hashes.npy"
 
 
 def manifest_matches(d: str, fingerprint: str) -> bool:
@@ -69,6 +74,50 @@ def write_shard_atomic(table: pa.Table, d: str, fingerprint: str, metrics: dict 
         raise
 
 
+def url_hashes(uuids) -> np.ndarray:
+    """Sorted distinct url hashes of episode uuids: the first 64 bits of
+    each uuid, an md5 hex digest of the url (``ids.episode_uuid``)."""
+    hexes = pc.utf8_slice_codeunits(uuids, 0, 16).to_pylist()
+    return np.unique(np.frombuffer(bytes.fromhex("".join(hexes)), dtype=">u8").astype(np.uint64))
+
+
+def write_array_atomic(a: np.ndarray, path: str) -> None:
+    """Replace one ``.npy`` file atomically (tmp + os.replace)."""
+    tmp = path + ".tmp-rw"
+    with open(tmp, "wb") as f:
+        np.save(f, a)
+    os.replace(tmp, path)
+
+
+def _write_url_hashes(d: str, man: dict) -> np.ndarray:
+    """Rebuild shard dir ``d``'s url-hash sidecar from its part files'
+    ``uuid`` column and record the distinct count in ``man`` (``urls``)."""
+    parts = part_files(d)
+    h = url_hashes(pa.chunked_array(
+        [pq.read_table(p, columns=["uuid"]).column("uuid") for p in parts], pa.string()
+    ))
+    write_array_atomic(h, os.path.join(d, URL_HASHES))
+    man["urls"] = len(h)
+    return h
+
+
+def shard_url_hashes(d: str) -> np.ndarray:
+    """Episodes shard dir ``d``'s sorted distinct url hashes: its sidecar,
+    rebuilt from the part files (manifest ``urls`` included) when it is
+    missing or unreadable, as in a shard written before sidecars were."""
+    try:
+        return np.load(os.path.join(d, URL_HASHES))
+    except (OSError, ValueError):
+        pass
+    if not os.path.isdir(d):
+        return np.empty(0, np.uint64)
+    man = read_manifest(d)
+    h = _write_url_hashes(d, man if man is not None else {})
+    if man is not None:
+        write_manifest(d, man)
+    return h
+
+
 class ShardWriter:
     """Incremental atomic shard writer: ``write(table)`` appends one row
     group at a time to ``part-0.parquet`` inside a ``.tmp-`` dir, ``close``
@@ -76,9 +125,14 @@ class ShardWriter:
     write_shard_atomic (a SIGKILL leaves only an ignored ``.tmp-`` dir),
     but the shard's rows never need to be in memory at once. This is what
     lets one extract task process a 10⁶-row shard chunk-by-chunk with
-    O(chunk) heap instead of O(shard)."""
+    O(chunk) heap instead of O(shard).
 
-    def __init__(self, d: str, fingerprint: str, schema: pa.Schema):
+    ``url_column`` names a column of episode uuids: ``close`` then also
+    writes their sorted distinct hashes (``URL_HASHES``) inside the same
+    rename, and the manifest records their count (``urls``) beside
+    ``rows``."""
+
+    def __init__(self, d: str, fingerprint: str, schema: pa.Schema, url_column: str | None = None):
         self._d = d
         self._fp = fingerprint
         parent = os.path.dirname(d)
@@ -86,11 +140,15 @@ class ShardWriter:
         self._tmp = tempfile.mkdtemp(prefix=".tmp-shard-", dir=parent)
         self._writer = pq.ParquetWriter(os.path.join(self._tmp, "part-0.parquet"), schema)
         self._rows = 0
+        self._url_column = url_column
+        self._hashes: list[np.ndarray] = []
 
     def write(self, table: pa.Table) -> None:
         if table.num_rows:
             self._writer.write_table(table)
             self._rows += table.num_rows
+            if self._url_column:
+                self._hashes.append(url_hashes(table.column(self._url_column)))
 
     def close(self, metrics: dict | None = None) -> dict:
         self._writer.close()
@@ -101,6 +159,10 @@ class ShardWriter:
             "complete": True,
             **(metrics or {}),
         }
+        if self._url_column:
+            h = np.unique(np.concatenate(self._hashes)) if self._hashes else np.empty(0, np.uint64)
+            write_array_atomic(h, os.path.join(self._tmp, URL_HASHES))
+            man["urls"] = len(h)
         with open(os.path.join(self._tmp, MANIFEST), "w") as f:
             json.dump(man, f)
         if os.path.exists(self._d):
@@ -634,7 +696,8 @@ def read_manifest(d: str) -> dict | None:
 def refresh_manifest_rows(d: str) -> None:
     """Recount a shard dir's rows from parquet footers and update its
     manifest (used after an in-place mutation like remove_episode so
-    job_metrics / resume logic see true counts)."""
+    job_metrics / resume logic see true counts); a shard with a url-hash
+    sidecar gets its sidecar and ``urls`` count rebuilt too."""
     m = read_manifest(d)
     if m is None:
         return
@@ -643,6 +706,8 @@ def refresh_manifest_rows(d: str) -> None:
         for fn in os.listdir(d)
         if fn.endswith(".parquet")
     )
+    if os.path.exists(os.path.join(d, URL_HASHES)):
+        _write_url_hashes(d, m)
     m["mutated_at"] = time.time()
     write_manifest(d, m)
 
@@ -778,21 +843,33 @@ def delete_branch(out_dir: str, name: str) -> None:
     shutil.rmtree(branch_dir(out_dir, name))
 
 
+def data_tables(out_dir: str) -> list[str]:
+    """Names of the table dirs under ``out_dir``, sorted; ``_``-prefixed
+    dirs (_branches / _journal / _index_* / _url_index) are not data
+    tables."""
+    if not os.path.isdir(out_dir):
+        return []
+    return [
+        t for t in sorted(os.listdir(out_dir))
+        if not t.startswith("_") and os.path.isdir(os.path.join(out_dir, t))
+    ]
+
+
+def manifest_counts(troot: str) -> dict:
+    """Rows and shards of one table dir: the sum of its shard manifests'
+    ``rows`` and their number."""
+    rows = 0
+    shards = 0
+    for dirpath, dirnames, filenames in os.walk(troot):
+        _prune_tmp(dirnames)
+        if MANIFEST in filenames:
+            with open(os.path.join(dirpath, MANIFEST)) as f:
+                m = json.load(f)
+            rows += m.get("rows", 0)
+            shards += 1
+    return {"rows": rows, "shards": shards}
+
+
 def job_metrics(out_dir: str) -> dict:
     """Aggregate all shard manifests into one job-level metrics dict."""
-    agg: dict = {"tables": {}}
-    for table in sorted(os.listdir(out_dir)) if os.path.isdir(out_dir) else []:
-        troot = os.path.join(out_dir, table)
-        if not os.path.isdir(troot) or table.startswith("_"):
-            continue  # _branches / _journal / _index_* are not data tables
-        rows = 0
-        shards = 0
-        for dirpath, dirnames, filenames in os.walk(troot):
-            _prune_tmp(dirnames)
-            if MANIFEST in filenames:
-                with open(os.path.join(dirpath, MANIFEST)) as f:
-                    m = json.load(f)
-                rows += m.get("rows", 0)
-                shards += 1
-        agg["tables"][table] = {"rows": rows, "shards": shards}
-    return agg
+    return {"tables": {t: manifest_counts(os.path.join(out_dir, t)) for t in data_tables(out_dir)}}

@@ -31,7 +31,10 @@ entities), ``group`` re-derives the link rows of the run's groups alone,
 driver-side; only groups too large for the driver take ``full``. A full
 link whose triples fit the same budget (``DELTA_MAX_TRIPLES``) runs the
 group route's derive step over every triple as one Ray task; a larger one
-runs as Ray Data jobs.
+runs as Ray Data jobs. Every route seals a url index beside the link
+tables (``URL_INDEX``: the linked episodes' url hashes) and the logs'
+totals in their manifests, so neither the delta route's url check nor the
+run report reads the runs before the new one.
 
 Ray session ownership: these functions NEVER call ray.init/shutdown —
 callers (bench.py, tests, the driver) own the session.
@@ -45,7 +48,9 @@ import json
 import os
 import threading
 import time
+from typing import NamedTuple
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -107,6 +112,13 @@ DELTA_MAX_TRIPLES = 100_000
 LINK_TABLES = ("nodes/shard=0000", "edges", "episodic_edges", "duplicate_edges/shard=0000")
 DELTA_PART = "part-delta.parquet"
 
+# the link-side url index: the sorted distinct url hashes (``gio.url_hashes``)
+# of the linked runs' episodes, laid out like the link tables: a base array
+# only the full route writes and a delta array the delta and group routes
+# rewrite; its manifest records the link fingerprint it matches
+URL_INDEX = "_url_index"
+URL_INDEX_PARTS = ("part-0.npy", "part-delta.npy")
+
 # triples columns the link phase reads: not the hive 'shard' column nor sent_idx
 TRIPLE_COLUMNS = [
     "episode_uuid", "group_id", "valid_at", "subj_surface", "subj_label",
@@ -135,6 +147,9 @@ def _md5_file(fp: str) -> str:
     return h.hexdigest()
 
 
+_md5_file_remote = ray.remote(num_cpus=1)(_md5_file)
+
+
 def _fingerprint(paths: list[str], etag_map: dict[str, str] | None = None) -> str:
     """CONTENT fingerprint of the input files. mtime-based fingerprints
     mis-fire when identical content is rewritten (e.g. a regenerated
@@ -158,8 +173,7 @@ def _fingerprint(paths: list[str], etag_map: dict[str, str] | None = None) -> st
     if etag_map is not None:
         digests = [etag_map[fp] for fp in files]
     elif ray.is_initialized() and len(files) > 1:
-        task = ray.remote(num_cpus=1)(_md5_file)
-        digests = ray.get([task.remote(fp) for fp in files])
+        digests = ray.get([_md5_file_remote.remote(fp) for fp in files])
     else:
         digests = [_md5_file(fp) for fp in files]
     h = hashlib.md5()
@@ -176,6 +190,9 @@ def _read_rg_meta(fp: str) -> list[int]:
     return [md.row_group(i).num_rows for i in range(md.num_row_groups)]
 
 
+_read_rg_meta_remote = ray.remote(num_cpus=0.25)(_read_rg_meta)
+
+
 def _slice_specs(files: list[str], num_shards: int) -> list[list[tuple[str, int, int, int]]]:
     """Deterministic contiguous input slices: shard ``s`` owns global rows
     [s·total/num_shards, (s+1)·total/num_shards), expressed as
@@ -188,8 +205,7 @@ def _slice_specs(files: list[str], num_shards: int) -> list[list[tuple[str, int,
     import bisect
 
     if ray.is_initialized() and len(files) > 4:
-        task = ray.remote(num_cpus=0.25)(_read_rg_meta)
-        metas = ray.get([task.remote(fp) for fp in files])
+        metas = ray.get([_read_rg_meta_remote.remote(fp) for fp in files])
     else:
         metas = [_read_rg_meta(fp) for fp in files]
     units = [(fp, rg, n) for fp, m in zip(files, metas) for rg, n in enumerate(m)]
@@ -266,15 +282,16 @@ def extract_one_shard(
     """One extract shard, run as one Ray task: read the shard's input
     slice ``pieces`` (``_slice_specs``), run html→text + episode build +
     triple extraction, and write the episodes and triples shard dirs
-    (manifests stamped ``fingerprint``). Chunked streaming: the extracted
-    rows go straight to the incremental writers, so the task heap is
+    (manifests stamped ``fingerprint``; the episodes dir also holds the
+    shard's sorted url hashes, ``gio.URL_HASHES``). Chunked streaming: the
+    extracted rows go straight to the incremental writers, so the task heap is
     O(chunk + one input row group), never O(shard) — a 10⁶-page shard
     costs the same memory as a 10⁴-page one. A failure aborts both
     writers, so the shard is left without a manifest."""
     from ..extract.triples import TRIPLES_SCHEMA
     from ..schemas import EPISODES
 
-    ep_w = gio.ShardWriter(ep_dir, fingerprint, EPISODES)
+    ep_w = gio.ShardWriter(ep_dir, fingerprint, EPISODES, url_column="uuid")
     tr_w = gio.ShardWriter(tr_dir, fingerprint, TRIPLES_SCHEMA)
     try:
         for fp, rg, start, n in pieces:
@@ -298,6 +315,9 @@ def extract_one_shard(
         raise
     ep_w.close()
     tr_w.close()
+
+
+extract_one_shard_remote = ray.remote(extract_one_shard)
 
 
 def extract_phase(
@@ -417,7 +437,7 @@ def extract_phase(
     extractor_key = _factory_key(extractor_factory)
     # SPREAD: on a cluster the shards fan out over the nodes instead of
     # filling the first one (Ray Data's placement for map tasks)
-    task = ray.remote(extract_one_shard).options(
+    task = extract_one_shard_remote.options(
         **{"num_cpus": 1, "scheduling_strategy": "SPREAD", **(extractor_resources or {})}
     )
     refs = [
@@ -513,16 +533,128 @@ def _link_dirs(out_dir: str) -> list[str]:
     return [os.path.join(out_dir, t) for t in LINK_TABLES]
 
 
-def _seal_link_tables(out_dir: str, fp: str, runs: set[str], n_mentions: int) -> None:
-    """Last write of every link: each link table's manifest records the
-    link fingerprint, the runs it covers, the distinct-mention count, its
-    footer row count and its part-file fingerprint (the mark that catches
-    later edits which leave the manifest as it was)."""
+class _Seal(NamedTuple):
+    """What a link seals: its fingerprint, the runs it covers, the episodes
+    and triples logs' totals over those runs (``{"rows", "shards"}`` per
+    log) and the url index over them: the base array (written only when
+    ``new_base``) and the delta array."""
+
+    fp: str
+    runs: set[str]
+    totals: dict[str, dict]
+    base: np.ndarray
+    delta: np.ndarray
+    new_base: bool
+
+
+def _log_totals(out_dir: str, dirs: list[str], shards: dict[str, dict]) -> dict[str, dict]:
+    """Rows and manifested shard dirs of the triples shard dirs ``dirs``
+    and of their episodes twins (same dir name under ``episodes/``)."""
+    eps = [m for m in (gio.read_manifest(os.path.join(out_dir, "episodes", d)) for d in dirs) if m is not None]
+    return {
+        "episodes": {"rows": sum(m.get("rows", 0) for m in eps), "shards": len(eps)},
+        "triples": {"rows": sum(shards[d].get("rows", 0) for d in dirs), "shards": len(dirs)},
+    }
+
+
+def _url_hashes_of(out_dir: str, dirs: list[str]) -> np.ndarray:
+    """Sorted distinct url hashes of the episodes twins of ``dirs``."""
+    hs = [gio.shard_url_hashes(os.path.join(out_dir, "episodes", d)) for d in dirs]
+    return np.unique(np.concatenate(hs)) if hs else np.empty(0, np.uint64)
+
+
+def _in_sorted(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Mask of the values of ``x`` that sorted array ``a`` holds: one
+    ``searchsorted`` probe."""
+    if not len(a):
+        return np.zeros(len(x), bool)
+    i = np.searchsorted(a, x)
+    return a[np.minimum(i, len(a) - 1)] == x
+
+
+def _full_seal(out_dir: str, shards: dict[str, dict], fp: str) -> _Seal:
+    """The seal of a full link: totals over every run, and a base array
+    merged from the per-shard url hashes, with an empty delta."""
+    dirs = list(shards)
+    return _Seal(
+        fp, {_run_of(d) for d in dirs}, _log_totals(out_dir, dirs, shards),
+        _url_hashes_of(out_dir, dirs), np.empty(0, np.uint64), True,
+    )
+
+
+def _delta_seal(out_dir: str, shards: dict[str, dict], rec: dict, index: tuple[np.ndarray, np.ndarray], fp: str) -> _Seal:
+    """The seal of a delta or group link, sized by the new runs: the sealed
+    totals plus the new runs' manifests, and the url index's delta array
+    plus the new runs' hashes its base lacks (the base is kept)."""
+    linked = set(rec["linked_runs"])
+    new = [d for d in shards if _run_of(d) not in linked]
+    added = _log_totals(out_dir, new, shards)
+    base, delta = index
+    h = _url_hashes_of(out_dir, new)
+    return _Seal(
+        fp, linked | {_run_of(d) for d in new},
+        {log: {k: rec["totals"][log][k] + v for k, v in t.items()} for log, t in added.items()},
+        base, np.union1d(delta, h[~_in_sorted(base, h)]), False,
+    )
+
+
+def _load_url_index(out_dir: str, fp: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """(base, delta) of the url index, the base memory-mapped, when its
+    manifest names link fingerprint ``fp`` and its arrays have the
+    recorded lengths; None when it is missing, stale or unreadable."""
+    d = os.path.join(out_dir, URL_INDEX)
+    m = gio.read_manifest(d)
+    if m is None or m.get("fingerprint") != fp:
+        return None
+    try:
+        base = np.load(os.path.join(d, URL_INDEX_PARTS[0]), mmap_mode="r")
+        delta = np.load(os.path.join(d, URL_INDEX_PARTS[1]))
+    except (OSError, ValueError):
+        return None
+    if [len(base), len(delta)] != m.get("lengths") or {base.dtype, delta.dtype} != {np.dtype(np.uint64)}:
+        return None
+    return base, delta
+
+
+def invalidate_url_index(out_dir: str) -> None:
+    """Drop the url index's manifest, so the next link takes the full
+    route (``no url index``), which writes the index again. Maintenance
+    that removes episodes calls it: the index and the sealed log totals
+    still count them."""
+    try:
+        os.remove(os.path.join(out_dir, URL_INDEX, gio.MANIFEST))
+    except FileNotFoundError:
+        pass
+
+
+def _write_url_index(out_dir: str, seal: _Seal) -> None:
+    """Write ``seal``'s url index: its manifest goes first and comes back
+    last, so a write cut short leaves no index."""
+    d = os.path.join(out_dir, URL_INDEX)
+    os.makedirs(d, exist_ok=True)
+    invalidate_url_index(out_dir)
+    base_p, delta_p = (os.path.join(d, f) for f in URL_INDEX_PARTS)
+    if seal.new_base:
+        gio.write_array_atomic(seal.base, base_p)
+    gio.write_array_atomic(seal.delta, delta_p)
+    gio.write_manifest(d, {"fingerprint": seal.fp, "lengths": [len(seal.base), len(seal.delta)]})
+
+
+def _seal_link_tables(out_dir: str, seal: _Seal, n_mentions: int) -> None:
+    """Last write of every link: the url index (``_write_url_index``),
+    then each link table's manifest, which records the link fingerprint,
+    the runs it covers, the distinct-mention count, the episodes and
+    triples totals over those runs and their distinct url count (the run
+    report's source), its footer row count and its part-file fingerprint
+    (the mark that catches later edits which leave the manifest as it
+    was)."""
+    _write_url_index(out_dir, seal)
     for d in _link_dirs(out_dir):
         m = gio.read_manifest(d) or {}
         m.pop("mutated_at", None)
         m.update(
-            fingerprint=fp, complete=True, linked_runs=sorted(runs), mentions=n_mentions,
+            fingerprint=seal.fp, complete=True, linked_runs=sorted(seal.runs), mentions=n_mentions,
+            totals=seal.totals, urls=len(seal.base) + len(seal.delta),
             rows=sum(pq.read_metadata(p).num_rows for p in gio.part_files(d)),
             files=gio.part_files_fingerprint(d),
         )
@@ -538,11 +670,12 @@ def _unseal_link_tables(out_dir: str) -> None:
             gio.write_manifest(d, {**m, "complete": False})
 
 
-def _choose_link_route(out_dir: str, run_ts_us: int, shards: dict[str, dict]) -> tuple[str, str, dict | None]:
-    """(route, reason, link record) from manifests and file stats alone:
-    ``unchanged`` when the sealed tables already cover every triples run,
-    ``delta`` when they cover all but new runs the driver can fold in,
-    ``full`` otherwise, with the check that failed."""
+def _choose_link_route(out_dir: str, run_ts_us: int, shards: dict[str, dict]) -> tuple[str, str, dict | None, tuple | None]:
+    """(route, reason, link record, url index) from manifests and file
+    stats alone: ``unchanged`` when the sealed tables already cover every
+    triples run, ``delta`` when they cover all but new runs the driver can
+    fold in, ``full`` otherwise, with the check that failed. Both cheaper
+    routes need the url index sealed with the tables (``no url index``)."""
     from ..stages.canonicalize import CANON_DRIVER_MAX_MENTIONS
 
     mans = [gio.read_manifest(d) for d in _link_dirs(out_dir)]
@@ -550,26 +683,29 @@ def _choose_link_route(out_dir: str, run_ts_us: int, shards: dict[str, dict]) ->
     if any(m is None or m.get("complete") is not True or "files" not in m for m in mans) or any(
         [m.get(k) for k in keys] != [mans[0].get(k) for k in keys] for m in mans
     ):
-        return "full", "no linked-run record", None
+        return "full", "no linked-run record", None, None
     rec = mans[0]
     if any(gio.part_files_fingerprint(d) != m["files"] for d, m in zip(_link_dirs(out_dir), mans)):
-        return "full", "tables edited", rec
+        return "full", "tables edited", rec, None
     linked, runs = set(rec["linked_runs"]), {_run_of(d) for d in shards}
     base = _link_fingerprint(shards, run_ts_us, linked)
     if not linked <= runs or rec["fingerprint"] not in (base, base + ":distcanon"):
-        return "full", "tables edited", rec
+        return "full", "tables edited", rec, None
     if runs == linked:
         tag = ":distcanon" if rec["mentions"] > CANON_DRIVER_MAX_MENTIONS else ""
-        if rec["fingerprint"] == base + tag:
-            return "unchanged", "", rec
-        return "full", "distributed route", rec
-    new_rows = sum(m.get("rows", 0) for d, m in shards.items() if _run_of(d) not in linked)
-    if new_rows > DELTA_MAX_TRIPLES:
-        return "full", "run too large", rec
-    # each triple row adds at most two distinct mentions
-    if rec["fingerprint"] != base or rec["mentions"] + 2 * new_rows > CANON_DRIVER_MAX_MENTIONS:
-        return "full", "distributed route", rec
-    return "delta", "", rec
+        if rec["fingerprint"] != base + tag:
+            return "full", "distributed route", rec, None
+    else:
+        new_rows = sum(m.get("rows", 0) for d, m in shards.items() if _run_of(d) not in linked)
+        if new_rows > DELTA_MAX_TRIPLES:
+            return "full", "run too large", rec, None
+        # each triple row adds at most two distinct mentions
+        if rec["fingerprint"] != base or rec["mentions"] + 2 * new_rows > CANON_DRIVER_MAX_MENTIONS:
+            return "full", "distributed route", rec, None
+    index = _load_url_index(out_dir, rec["fingerprint"]) if "totals" in rec else None
+    if index is None:
+        return "full", "no url index", rec, None
+    return ("unchanged" if runs == linked else "delta"), "", rec, index
 
 
 def _read_parts(d: str, columns: list[str], flt=None) -> pa.Table:
@@ -664,15 +800,13 @@ def _delta_canon(out_dir: str, triples: pa.Table, run_ts_us: int):
     )
 
 
-def _new_run_triples(out_dir: str, shards: dict[str, dict], rec: dict) -> tuple[pa.Table, set[str]]:
-    """The triples of the runs the sealed link tables do not cover, and
-    the runs the tables cover once they are folded in."""
+def _new_run_triples(out_dir: str, shards: dict[str, dict], rec: dict) -> pa.Table:
+    """The triples of the runs the sealed link tables do not cover."""
     linked = set(rec["linked_runs"])
-    new_dirs = [d for d in shards if _run_of(d) not in linked]
-    triples = pa.concat_tables(
-        [_read_parts(os.path.join(out_dir, "triples", d), TRIPLE_COLUMNS) for d in new_dirs]
-    )
-    return triples, linked | {_run_of(d) for d in new_dirs}
+    return pa.concat_tables([
+        _read_parts(os.path.join(out_dir, "triples", d), TRIPLE_COLUMNS)
+        for d in shards if _run_of(d) not in linked
+    ])
 
 
 def _split_parts(d: str, columns: list[str], hit_of) -> tuple[dict[str, pa.Table], list[pa.Table]]:
@@ -700,13 +834,13 @@ def _edge_rows(partial: pd.DataFrame, run_ts_us: int) -> pa.Table:
     )
 
 
-def _fold(out_dir: str, kept: dict[str, pa.Table], rows_of: dict[str, pa.Table], fp: str, runs: set[str], n_mentions: int) -> None:
+def _fold(out_dir: str, kept: dict[str, pa.Table], rows_of: dict[str, pa.Table], seal: _Seal, n_mentions: int) -> None:
     """Write a delta or group link: the link manifests go incomplete first;
     each file in ``kept`` is rewritten to the rows it keeps (atomic
     per-file rewrites); each table's new rows (``rows_of``, keyed by link
-    dir) join its one delta part file, rewritten whole each time; the
-    manifests are sealed last. A crash anywhere leaves an incomplete
-    manifest, and the next link takes the full route."""
+    dir) join its one delta part file, rewritten whole each time; the url
+    index and the manifests are sealed last. A crash anywhere leaves an
+    incomplete manifest, and the next link takes the full route."""
     _unseal_link_tables(out_dir)
     for p, t in kept.items():
         if os.path.basename(p) != DELTA_PART:
@@ -723,34 +857,31 @@ def _fold(out_dir: str, kept: dict[str, pa.Table], rows_of: dict[str, pa.Table],
         schema = pq.read_schema(files[0]) if files else rows.schema
         rows = rows.select(schema.names).cast(schema)
         gio.rewrite_file_atomic(rows if prev is None else pa.concat_tables([prev, rows]), path)
-    _seal_link_tables(out_dir, fp, runs, n_mentions)
+    _seal_link_tables(out_dir, seal, n_mentions)
 
 
-def _delta_link(out_dir: str, run_ts_us: int, triples: pa.Table, runs: set[str], rec: dict, fp: str) -> str | None:
+def _delta_link(out_dir: str, run_ts_us: int, triples: pa.Table, rec: dict, index: tuple[np.ndarray, np.ndarray], seal: _Seal) -> str | None:
     """Delta link route: fold the triples of runs the sealed link tables do
     not cover into those tables, driver-side, with the full route's
     kernels. Returns the reason it cannot (``url recurs`` sends the link
     to the full route, every other reason to the group route), or None
-    once the tables are written and sealed (``_fold``).
+    once the tables and the url index are written and sealed (``_fold``).
 
+    - url recurs: the run's episode url hashes go through one
+      ``searchsorted`` probe of the url index (the memory-mapped base and
+      the delta array), sized by the run, never by the runs before it; a
+      hit is an episode that already sits in a linked run;
     - canonical map: ``_delta_canon`` against the persisted entities;
     - edges: every persisted row of a (group, predicate, object) bucket
       the run touches, plus the run's partial edges (``merge_edge_bucket``),
       goes through ``_edge_rows``;
     - MENTIONS: the one kernel over the run's rewritten rows; exact only
       when no new episode already sits in an older run."""
-    import pyarrow.dataset as pads
-
     if not triples.num_rows:
-        _seal_link_tables(out_dir, fp, runs, rec["mentions"])
+        _seal_link_tables(out_dir, seal, rec["mentions"])
         return None
-    eps = pc.unique(triples.column("episode_uuid"))
-    old_eps = [
-        p for d in sorted(os.listdir(os.path.join(out_dir, "episodes")))
-        if d.startswith("shard=") and _run_of(d) in rec["linked_runs"]
-        for p in gio.part_files(os.path.join(out_dir, "episodes", d))
-    ]
-    if old_eps and pads.dataset(old_eps, format="parquet").count_rows(filter=pc.field("uuid").isin(eps)):
+    hashes = gio.url_hashes(triples.column("episode_uuid"))
+    if any(_in_sorted(a, hashes).any() for a in index):
         return "url recurs"
     canon = _delta_canon(out_dir, triples, run_ts_us)
     if isinstance(canon, str):
@@ -773,11 +904,11 @@ def _delta_link(out_dir: str, run_ts_us: int, triples: pa.Table, runs: set[str],
         os.path.join(out_dir, "episodic_edges"): _mentions_rows(mentions_partial(rewritten).to_pandas(), run_ts_us),
         os.path.join(out_dir, "nodes", "shard=0000"): new_nodes,
         os.path.join(out_dir, "duplicate_edges", "shard=0000"): new_dups,
-    }, fp, runs, rec["mentions"] + n_fresh)
+    }, seal, rec["mentions"] + n_fresh)
     return None
 
 
-def _group_link(out_dir: str, run_ts_us: int, shards: dict[str, dict], new: pa.Table, runs: set[str], rec: dict, fp: str) -> str | None:
+def _group_link(out_dir: str, run_ts_us: int, shards: dict[str, dict], new: pa.Table, rec: dict, seal: _Seal) -> str | None:
     """Group link route: every link row is group-scoped (entity uuids, block
     keys, edge buckets and MENTIONS targets all carry the group), so the
     link rows of the groups a new run writes to are re-derived from all
@@ -808,7 +939,7 @@ def _group_link(out_dir: str, run_ts_us: int, shards: dict[str, dict], new: pa.T
         kept.update(_split_parts(d, ["group_id"], lambda k: pc.is_in(k["group_id"], value_set=groups))[0])
     _fold(out_dir, kept, {
         os.path.join(out_dir, t): rows for t, rows in rows_of.items()
-    }, fp, runs, rec["mentions"] + n_mentions - n_old)
+    }, seal, rec["mentions"] + n_mentions - n_old)
     return None
 
 
@@ -843,6 +974,9 @@ def _link_task(out_dir: str, run_ts_us: int, fp: str) -> int:
     return n_mentions
 
 
+_link_task_remote = ray.remote(num_cpus=1)(_link_task)
+
+
 def link_and_edges_phase(
     out_dir: str,
     run_ts_us: int = DEFAULT_RUN_TS_US,
@@ -861,7 +995,10 @@ def link_and_edges_phase(
       runs' triples fold into the persisted tables (``_delta_link``); a
       new mention that merges entities or renames one, or a block over the
       cap, sends the link to ``group``; a url recurring across runs, to
-      ``full``.
+      ``full``. The url check is one ``searchsorted`` probe of the url
+      index (``URL_INDEX``), which every route seals with the tables; a
+      missing or stale index sends the link to ``full`` (reason ``no url
+      index``), and that full link writes it.
     - ``group``: the link rows of the groups the new runs write to are
       re-derived from those groups' triples, driver-side (``_group_link``),
       unless they hold more than ``DELTA_MAX_TRIPLES`` triple rows
@@ -891,20 +1028,23 @@ def link_and_edges_phase(
     behind one (episode, entity) exchange (``mentions_edges``) on
     ``rewritten``; the task placement runs it once over every row.
 
-    Every route ends by sealing the link manifests (``_seal_link_tables``);
-    the delta, group and unchanged checks trust nothing else."""
+    Every route ends by sealing the url index and the link manifests
+    (``_seal_link_tables``); the delta, group and unchanged checks trust
+    nothing else. The run report (``_job_metrics.json``, returned) is
+    O(run) too (``_write_report``): the link manifests seal the episodes
+    and triples totals, so no write walks every shard manifest."""
     timings = timings if timings is not None else {}
     t0 = time.time()
     shards = _triples_shards(out_dir)
-    route, reason, rec = _choose_link_route(out_dir, run_ts_us, shards)
+    route, reason, rec, index = _choose_link_route(out_dir, run_ts_us, shards)
     if route == "delta":
-        fp = _link_fingerprint(shards, run_ts_us)
-        new, runs = _new_run_triples(out_dir, shards, rec)
-        reason = _delta_link(out_dir, run_ts_us, new, runs, rec, fp) or ""
+        seal = _delta_seal(out_dir, shards, rec, index, _link_fingerprint(shards, run_ts_us))
+        new = _new_run_triples(out_dir, shards, rec)
+        reason = _delta_link(out_dir, run_ts_us, new, rec, index, seal) or ""
         if reason == "url recurs":
             route = "full"
         elif reason:
-            reason = _group_link(out_dir, run_ts_us, shards, new, runs, rec, fp) or reason
+            reason = _group_link(out_dir, run_ts_us, shards, new, rec, seal) or reason
             route = "full" if reason == "group too large" else "group"
         timings["delta"] = round(time.time() - t0, 2)
     if route == "full":
@@ -914,9 +1054,26 @@ def link_and_edges_phase(
             _unseal_link_tables(out_dir)
         _full_link(out_dir, run_ts_us, timings, shards)
     timings["link_route"], timings["link_reason"] = route, reason
+    return _write_report(out_dir, timings)
 
-    metrics = gio.job_metrics(out_dir)
-    metrics["timings"] = dict(timings)
+
+def _write_report(out_dir: str, timings: dict) -> dict:
+    """Write and return the run report, ``_job_metrics.json``: rows and
+    shards per table, equal to ``gio.job_metrics`` — the episodes and
+    triples logs from the totals the link manifests sealed, every other
+    table from a walk of its manifests, which do not grow with writes —
+    plus ``duplicate_urls`` (the episode rows over the linked runs less
+    the distinct urls in the url index) and ``timings``."""
+    rec = gio.read_manifest(_link_dirs(out_dir)[0])
+    totals = rec["totals"]
+    metrics = {
+        "tables": {
+            t: dict(totals[t]) if t in totals else gio.manifest_counts(os.path.join(out_dir, t))
+            for t in gio.data_tables(out_dir)
+        },
+        "duplicate_urls": totals["episodes"]["rows"] - rec["urls"],
+        "timings": dict(timings),
+    }
     with open(os.path.join(out_dir, "_job_metrics.json"), "w") as f:
         json.dump(metrics, f, indent=2)
     return metrics
@@ -937,18 +1094,20 @@ def _full_link(out_dir: str, run_ts_us: int, timings: dict, shards: dict[str, di
     # each triple row adds at most two distinct mentions
     task = n_triples <= DELTA_MAX_TRIPLES and 2 * n_triples <= CANON_DRIVER_MAX_MENTIONS
     timings["link_placement"], timings["link_triples"] = ("task" if task else "ray"), n_triples
-    if not task:
-        _ray_link(out_dir, run_ts_us, timings, t0, shards)
-        return
-    fp = _link_fingerprint(shards, run_ts_us)
-    n_mentions = ray.get(ray.remote(num_cpus=1)(_link_task).remote(out_dir, run_ts_us, fp))
-    timings["canon_path"], timings["mentions_path"] = "driver", "task"
-    timings["link_task"] = round(time.time() - t0, 2)
-    _seal_link_tables(out_dir, fp, {_run_of(d) for d in shards}, n_mentions)
+    if task:
+        fp = _link_fingerprint(shards, run_ts_us)
+        n_mentions = ray.get(_link_task_remote.remote(out_dir, run_ts_us, fp))
+        timings["canon_path"], timings["mentions_path"] = "driver", "task"
+        timings["link_task"] = round(time.time() - t0, 2)
+    else:
+        fp, n_mentions = _ray_link(out_dir, run_ts_us, timings, t0, shards)
+    _seal_link_tables(out_dir, _full_seal(out_dir, shards, fp), n_mentions)
 
 
-def _ray_link(out_dir: str, run_ts_us: int, timings: dict, t0: float, shards: dict[str, dict]) -> None:
-    """The full route's Ray placement: Ray Data jobs over the triples."""
+def _ray_link(out_dir: str, run_ts_us: int, timings: dict, t0: float, shards: dict[str, dict]) -> tuple[str, int]:
+    """The full route's Ray placement: Ray Data jobs over the triples.
+    Returns the link fingerprint and the distinct-mention count; the
+    caller seals the tables."""
     from ..stages.canonicalize import CANON_DRIVER_MAX_MENTIONS
 
     runs = {_run_of(d) for d in shards}
@@ -1025,7 +1184,7 @@ def _ray_link(out_dir: str, run_ts_us: int, timings: dict, t0: float, shards: di
     if mention_err:
         raise mention_err[0]
     timings["mentions"] = round(men_wall[0], 2) if men_wall else 0.0
-    _seal_link_tables(out_dir, fp, runs, n_mentions)
+    return fp, n_mentions
 
 
 def build_graph(

@@ -189,9 +189,11 @@ def remove_episode(out_dir: str, episode_uuid_: str) -> dict[str, int]:
     which a sorted provenance set cannot reproduce), and entity nodes
     mentioned by NO remaining episode (graphiti.py:1098-1108 orphan
     cleanup). Every file rewrite is tmp+rename atomic and shard manifests
-    are refreshed. Driver-side loop — the graph tables post-dedup are
-    vocabulary-sized; the distributed variant is a filtered re-write of
-    each table directory through ``write_table_distributed``."""
+    (with the episodes shards' url hashes) are refreshed; the link's url
+    index is dropped, so the next link is a full one. Driver-side loop —
+    the graph tables post-dedup are vocabulary-sized; the distributed
+    variant is a filtered re-write of each table directory through
+    ``write_table_distributed``."""
     import os
 
     from .. import io as gio
@@ -210,6 +212,10 @@ def remove_episode(out_dir: str, episode_uuid_: str) -> dict[str, int]:
         os.path.join(out_dir, "episodes"),
         lambda t: pc.not_equal(t.column("uuid"), pa.scalar(episode_uuid_)),
     )
+    if removed["episodes"]:
+        from .kg import invalidate_url_index
+
+        invalidate_url_index(out_dir)
     # the triples LOG too: the link phase re-derives MENTIONS/edges from
     # every manifested triples shard on the next incremental build, so a
     # victim left in the log RESURRECTS as dangling episodic_edges (and

@@ -53,7 +53,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .ids import md5_id
-from .pipelines.kg import DEFAULT_RUN_TS_US, build_graph
+from .pipelines.kg import DEFAULT_RUN_TS_US, URL_INDEX, build_graph, invalidate_url_index
 
 _FACT_COLS = ("uuid", "name", "fact", "valid_at", "invalid_at", "created_at", "expired_at")
 
@@ -102,8 +102,9 @@ class GraphService:
     mention merges entities or renames one; ``unchanged`` (a re-post of a
     spooled batch) writes nothing; ``full`` re-derives the graph from the
     shard union (idempotent, deterministic ids) when a url recurs across
-    runs, the tables were edited since the last link or the groups are
-    too large for the driver.
+    runs, the tables were edited since the last link, the url index is
+    missing (removing an episode drops it) or the groups are too large
+    for the driver.
     ``_job_metrics.json`` names the route and the reason.
     ``flush()`` blocks until the queue drains (tests; the reference's
     queue offers no such hook)."""
@@ -384,9 +385,12 @@ class GraphService:
             ):
                 root = os.path.join(self.out_dir, table)
                 if os.path.isdir(root):
-                    removed += _filter_table_dir(
+                    n = _filter_table_dir(
                         root, lambda t: pc.invert(pc.equal(t.column("group_id"), scalar))
                     )
+                    if table == "episodes" and n:
+                        invalidate_url_index(self.out_dir)
+                    removed += n
             for fn in sorted(os.listdir(self.spool_dir)):
                 p = os.path.join(self.spool_dir, fn)
                 if fn.endswith(".parquet") and group_id in pq.read_table(p, columns=["group_id"]).column("group_id").to_pylist():
@@ -425,7 +429,7 @@ class GraphService:
         with self._lock:
             for table in (
                 "nodes", "edges", "episodes", "episodic_edges", "triples",
-                "communities", "community_edges", "duplicate_edges", "_ingest_spool",
+                "communities", "community_edges", "duplicate_edges", "_ingest_spool", URL_INDEX,
             ):
                 p = os.path.join(self.out_dir, table)
                 if os.path.isdir(p):

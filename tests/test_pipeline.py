@@ -436,6 +436,41 @@ def test_multi_run_shared_urls_route_generic_mentions(ray_session, pages_parquet
         full = gio.read_table_dir(graph_out, "episodic_edges")
         assert men.schema.equals(full.schema), (men.schema, full.schema)
         assert men.sort_by("uuid").equals(full.sort_by("uuid")), placement
+        assert metrics["duplicate_urls"] == 4
+
+
+def test_recrawl_reports_duplicate_urls(ray_session, pages_parquet, tmp_path_factory, monkeypatch):
+    """A re-crawl (the fixture pages plus their first 10 rows again) reports
+    10 duplicate urls, whatever the shard count and the full link's
+    placement. The url index that the full link merges from the per-shard
+    url hashes holds each episode url once, and the run report equals a
+    walk of every manifest."""
+    import numpy as np
+    import pyarrow as pa
+
+    from graphiti_hf_ray.pipelines import kg
+
+    pg = pq.read_table(pages_parquet)
+    p = str(tmp_path_factory.mktemp("recrawl") / "pages.parquet")
+    pq.write_table(pa.concat_tables([pg, pg.slice(0, 10)]), p)
+    for shards, placement in ((1, "task"), (4, "task"), (4, "ray")):
+        with monkeypatch.context() as mp:
+            if placement == "ray":
+                mp.setattr(kg, "DELTA_MAX_TRIPLES", 0)
+            out = str(tmp_path_factory.mktemp("recrawl_graph"))
+            metrics = build_graph([p], out, num_shards=shards)
+        assert metrics["timings"]["link_placement"] == placement
+        assert metrics["duplicate_urls"] == 10, (shards, placement)
+        assert metrics["tables"] == gio.job_metrics(out)["tables"]
+        assert metrics["tables"]["episodes"] == {"rows": 510, "shards": shards}
+        rec = gio.read_manifest(os.path.join(out, kg.LINK_TABLES[0]))
+        base, delta = kg._load_url_index(out, rec["fingerprint"])
+        assert len(delta) == 0
+        assert np.array_equal(base, gio.url_hashes(gio.read_table_dir(out, "episodes").column("uuid")))
+        # per shard, rows − urls counts the duplicates within the shard: at
+        # 4 shards the repeated rows sit in another shard than the first
+        mans = [gio.read_manifest(os.path.join(out, "episodes", d)) for d in os.listdir(os.path.join(out, "episodes"))]
+        assert sum(m["rows"] - m["urls"] for m in mans) == (10 if shards == 1 else 0)
 
 
 def test_incremental_append_matches_full_build(ray_session, pages_parquet, tmp_path_factory):

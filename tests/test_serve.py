@@ -364,13 +364,40 @@ def _link_route(out):
     return m["timings"]["link_route"], m["timings"]["link_reason"], m["tables"]
 
 
+def _assert_url_index_and_report(out):
+    """The sealed url index holds exactly the url hashes of the linked
+    runs' episodes, its delta array disjoint from its base; the run
+    report's tables equal ``gio.job_metrics`` and its ``duplicate_urls``
+    the episode rows less the distinct urls."""
+    import os
+
+    import numpy as np
+
+    import graphiti_hf_ray.pipelines.kg as kg
+    from graphiti_hf_ray import io as gio
+
+    rec = gio.read_manifest(os.path.join(out, kg.LINK_TABLES[0]))
+    index = kg._load_url_index(out, rec["fingerprint"])
+    assert index is not None
+    base, delta = index
+    assert not np.intersect1d(base, delta).size
+    eps = gio.read_table_dir(out, "episodes").column("uuid")
+    want = gio.url_hashes(eps)
+    assert np.array_equal(np.union1d(base, delta), want)
+    with open(os.path.join(out, "_job_metrics.json")) as f:
+        report = json.load(f)
+    assert report["tables"] == gio.job_metrics(out)["tables"]
+    assert report["duplicate_urls"] == len(eps) - len(want)
+
+
 def _assert_equals_fresh_full_link(out, scratch):
     """The served dir's link tables equal a full link over copies of its
     episodes and triples logs: schema and rows, whatever the row order and
     file layout; its job metrics count the rows its tables hold, and its
     link manifests record the full link's distinct-mention count. The
     referee full link takes the Ray placement, whose body shares no code
-    with the group route's or the task placement's derive step."""
+    with the group route's or the task placement's derive step. Both
+    dirs' url indexes and run reports hold (``_assert_url_index_and_report``)."""
     import os
     import shutil
 
@@ -396,6 +423,8 @@ def _assert_equals_fresh_full_link(out, scratch):
     for d in LINK_DIRS:
         mentions = [gio.read_manifest(os.path.join(o, d))["mentions"] for o in (out, scratch)]
         assert mentions[0] == mentions[1], (d, mentions)
+    for o in (out, scratch):
+        _assert_url_index_and_report(o)
 
 
 def test_delta_link_matches_full_link(ray_session, tmp_path_factory, monkeypatch):
@@ -496,3 +525,163 @@ def test_delta_link_crash_takes_full_route(ray_session, tmp_path_factory, monkey
     svc.add_episode("g", "e3", "Alan Turing works at Bletchley Park.")
     assert _link_route(out)[:2] == ("full", "no linked-run record")
     _assert_equals_fresh_full_link(out, str(tmp_path_factory.mktemp("svc_crash_full")) + "/g")
+
+
+NAMES = "Ada Bea Cal Dee Eve Fay Gus Hal Ivy Jon Kai Lou Max Ned Oli Pam Quinn Rex Sam Tom".split()
+
+
+def test_url_index_follows_every_write(ray_session, tmp_path_factory):
+    """The url index answers the delta route's url check: a run whose
+    pages yield no triples still enters it, so a later run repeating one
+    of its urls with triples takes the full route (``url recurs``), as a
+    scan of the episodes log would. Removing an episode drops the index:
+    the next write takes the full route (``no url index`` when no link
+    table was edited) and writes it again; the removed shard's url hashes
+    and manifest count follow its rows. After every write the index and
+    the run report hold and the tables equal a fresh full link."""
+    import os
+
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    import graphiti_hf_ray.pipelines.kg as kg
+    from graphiti_hf_ray import io as gio
+    from graphiti_hf_ray.ids import md5_id
+    from graphiti_hf_ray.serve import GraphService
+
+    out = str(tmp_path_factory.mktemp("svc_urlidx"))
+    scratch = str(tmp_path_factory.mktemp("svc_urlidx_full")) + "/g"
+    svc = GraphService(out)
+
+    def check(route, reason=""):
+        assert _link_route(out)[:2] == (route, reason), _link_route(out)[:2]
+        _assert_equals_fresh_full_link(out, scratch)
+
+    svc.add_episode("g", "e1", "Ada Lovelace works at Acme Corporation.")
+    check("full", "no linked-run record")
+    quiet = svc.add_episode("g", "e2", "Nothing happened today.")["uuid"]
+    check("delta")
+    assert gio.read_table_dir(out, "triples").num_rows == 1  # e2 yields none
+
+    # a build_graph input repeating e2's url, now with triples
+    d = tmp_path_factory.mktemp("svc_urlidx_pages")
+    url = f"memory://g/{md5_id('mem:g:e2:Nothing happened today.')}"
+    assert md5_id("ep:" + url) == quiet
+    page = pa.table({
+        "url": [url], "warc_ts": pa.array([svc.run_ts_us + 100], pa.timestamp("us")),
+        "html": [b"<html><body><p>Grace Hopper founded Cobol Labs.</p></body></html>"],
+        "text": ["Grace Hopper founded Cobol Labs."], "lang": ["en"], "group_id": ["g"],
+    })
+    pq.write_table(page, str(d / "p.parquet"))
+    kg.build_graph([str(d / "p.parquet")], out, num_shards=1)
+    check("full", "url recurs")
+
+    # a removed episode whose pages yielded no triples edits no link table
+    quiet3 = svc.add_episode("g", "e3", "Hello there.")["uuid"]
+    check("delta")
+    shard = next(
+        os.path.join(out, "episodes", s_) for s_ in sorted(os.listdir(os.path.join(out, "episodes")))
+        if quiet3 in gio.read_table_dir(out, os.path.join("episodes", s_)).column("uuid").to_pylist()
+    )
+    svc.delete_episode(quiet3)
+    rows = gio.read_table_dir(out, os.path.relpath(shard, out)).column("uuid")
+    assert np.array_equal(np.load(os.path.join(shard, gio.URL_HASHES)), gio.url_hashes(rows))
+    assert gio.read_manifest(shard)["urls"] == len(rows) == 0
+    svc.add_episode("g", "e4", "Alan Turing works at Bletchley Park.")
+    check("full", "no url index")
+    svc.delete_episode(quiet)
+    svc.add_episode("g", "e5", "Marie Curie moved to Paris.")
+    check("full", "tables edited")
+    svc.add_episode("g", "e6", "Grace Hopper moved to Oslo.")
+    check("delta")
+
+
+def test_missing_or_stale_url_index_takes_full_route(ray_session, tmp_path_factory):
+    """A deleted, stale or truncated url index, and a graph written before
+    url indexes and url-hash sidecars existed, send the next write to the
+    full route (``no url index``) instead of raising; that full link
+    writes the index (and the missing sidecars) again, and its tables
+    equal a fresh full link."""
+    import os
+    import shutil
+
+    import numpy as np
+
+    import graphiti_hf_ray.pipelines.kg as kg
+    from graphiti_hf_ray import io as gio
+    from graphiti_hf_ray.serve import GraphService
+
+    out = str(tmp_path_factory.mktemp("svc_staleidx"))
+    scratch = str(tmp_path_factory.mktemp("svc_staleidx_full")) + "/g"
+    svc = GraphService(out)
+    svc.add_episode("g", "e1", "Ada Lovelace works at Acme Corporation.")
+    svc.add_episode("g", "e2", "Grace Hopper moved to Oslo.")
+    idx = os.path.join(out, kg.URL_INDEX)
+
+    def stale():
+        man = gio.read_manifest(idx)
+        gio.write_manifest(idx, {**man, "fingerprint": "run:0:stale"})
+
+    def truncated():
+        base = os.path.join(idx, kg.URL_INDEX_PARTS[0])
+        np.save(base, np.load(base)[:-1])
+
+    def legacy():
+        shutil.rmtree(idx)
+        for d in os.listdir(os.path.join(out, "episodes")):
+            os.remove(os.path.join(out, "episodes", d, gio.URL_HASHES))
+
+    breaks = [lambda: shutil.rmtree(idx), stale, truncated, legacy]
+    for i, spoil in enumerate(breaks):
+        spoil()
+        svc.add_episode("g", f"b{i}", f"{NAMES[i]} Smith moved to {NAMES[i]}ville.")
+        assert _link_route(out)[:2] == ("full", "no url index"), (i, _link_route(out)[:2])
+        _assert_equals_fresh_full_link(out, scratch)
+    assert all(
+        os.path.exists(os.path.join(out, "episodes", d, gio.URL_HASHES))
+        for d in os.listdir(os.path.join(out, "episodes"))
+    )
+    svc.add_episode("g", "e3", "Alan Turing works at Bletchley Park.")
+    assert _link_route(out)[:2] == ("delta", "")
+
+
+def test_delta_write_reads_no_linked_episodes(ray_session, tmp_path_factory, monkeypatch):
+    """A delta write after 20 runs opens no file of the episodes log's
+    linked runs, parquet or manifest: the url check probes the url index
+    and the run report sums sealed totals."""
+    import builtins
+    import os
+
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+
+    from graphiti_hf_ray import io as gio
+    from graphiti_hf_ray.serve import GraphService
+
+    out = str(tmp_path_factory.mktemp("svc_opens"))
+    svc = GraphService(out)
+    for i in range(20):
+        svc.add_episode("g", f"e{i}", f"{NAMES[i]} Smith works at {NAMES[i]} Labs.")
+    linked = set(os.listdir(os.path.join(out, "episodes")))
+    opened = []
+
+    def counting(fn):
+        def wrapped(src, *a, **k):
+            opened.extend([src] if isinstance(src, (str, os.PathLike)) else list(src))
+            return fn(src, *a, **k)
+        return wrapped
+
+    for mod, name in ((pq, "read_table"), (pq, "read_metadata"), (pq, "read_schema"), (pq, "ParquetFile"), (pads, "dataset")):
+        monkeypatch.setattr(mod, name, counting(getattr(mod, name)))
+    # every manifest read goes through the io module's open
+    monkeypatch.setattr(gio, "open", counting(builtins.open), raising=False)
+    svc.add_episode("g", "last", "Alan Turing moved to Manchester.")
+    assert _link_route(out)[:2] == ("delta", "")
+    eps_root = os.path.join(out, "episodes")
+    hits = [
+        p for p in map(str, opened)
+        if os.path.commonpath([os.path.abspath(p), eps_root]) == eps_root
+        and os.path.relpath(p, eps_root).split(os.sep)[0] in linked | {"."}
+    ]
+    assert opened and not hits, hits
