@@ -107,7 +107,7 @@ def shard_url_hashes(d: str) -> np.ndarray:
     missing or unreadable, as in a shard written before sidecars were."""
     try:
         return np.load(os.path.join(d, URL_HASHES))
-    except (OSError, ValueError):
+    except (OSError, ValueError, EOFError):
         pass
     if not os.path.isdir(d):
         return np.empty(0, np.uint64)

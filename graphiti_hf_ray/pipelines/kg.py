@@ -609,7 +609,7 @@ def _load_url_index(out_dir: str, fp: str) -> tuple[np.ndarray, np.ndarray] | No
     try:
         base = np.load(os.path.join(d, URL_INDEX_PARTS[0]), mmap_mode="r")
         delta = np.load(os.path.join(d, URL_INDEX_PARTS[1]))
-    except (OSError, ValueError):
+    except (OSError, ValueError, EOFError):
         return None
     if [len(base), len(delta)] != m.get("lengths") or {base.dtype, delta.dtype} != {np.dtype(np.uint64)}:
         return None

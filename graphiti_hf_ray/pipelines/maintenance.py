@@ -190,7 +190,7 @@ def remove_episode(out_dir: str, episode_uuid_: str) -> dict[str, int]:
     mentioned by NO remaining episode (graphiti.py:1098-1108 orphan
     cleanup). Every file rewrite is tmp+rename atomic and shard manifests
     (with the episodes shards' url hashes) are refreshed; the link's url
-    index is dropped, so the next link is a full one. Driver-side loop —
+    index is dropped first, so the next link is a full one. Driver-side loop —
     the graph tables post-dedup are vocabulary-sized; the distributed
     variant is a filtered re-write of each table directory through
     ``write_table_distributed``."""
@@ -207,15 +207,16 @@ def remove_episode(out_dir: str, episode_uuid_: str) -> dict[str, int]:
     others = {t for s, t in zip(src, tgt) if s != episode_uuid_}
     orphans = mine - others
 
+    # drop the url index before any log changes: a crash part-way must not
+    # leave an index (and sealed totals) that still count the episode
+    from .kg import invalidate_url_index
+
+    invalidate_url_index(out_dir)
     removed = {}
     removed["episodes"] = _filter_table_dir(
         os.path.join(out_dir, "episodes"),
         lambda t: pc.not_equal(t.column("uuid"), pa.scalar(episode_uuid_)),
     )
-    if removed["episodes"]:
-        from .kg import invalidate_url_index
-
-        invalidate_url_index(out_dir)
     # the triples LOG too: the link phase re-derives MENTIONS/edges from
     # every manifested triples shard on the next incremental build, so a
     # victim left in the log RESURRECTS as dangling episodic_edges (and

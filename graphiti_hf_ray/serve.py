@@ -379,18 +379,18 @@ class GraphService:
         scalar = pa.scalar(group_id)
         removed = 0
         with self._lock:
+            # before any rewrite, so a crash part-way leaves no index that
+            # still counts the group's episodes
+            invalidate_url_index(self.out_dir)
             for table in (
                 "nodes", "edges", "episodes", "episodic_edges", "triples",
                 "communities", "community_edges", "duplicate_edges",
             ):
                 root = os.path.join(self.out_dir, table)
                 if os.path.isdir(root):
-                    n = _filter_table_dir(
+                    removed += _filter_table_dir(
                         root, lambda t: pc.invert(pc.equal(t.column("group_id"), scalar))
                     )
-                    if table == "episodes" and n:
-                        invalidate_url_index(self.out_dir)
-                    removed += n
             for fn in sorted(os.listdir(self.spool_dir)):
                 p = os.path.join(self.spool_dir, fn)
                 if fn.endswith(".parquet") and group_id in pq.read_table(p, columns=["group_id"]).column("group_id").to_pylist():

@@ -1,7 +1,7 @@
 """Measure how the cost of one single-episode write grows with the writes
 before it.
 
-    python scripts/write_curve.py SEED N [--repeats 3] [--cpus 1]
+    python scripts/write_curve.py SEED N [--repeats 3]
 
 Builds graph_ingest's set-up (perfbench's seeded 5k crawl pages through
 ``build_graph``, a ``GraphService`` over the result, one warm-up write and
@@ -14,9 +14,9 @@ the whole loop R times in this process, each over a fresh graph, and ends
 with the best (lowest) write median per block and the last block's ratio
 to the first.
 
-Like the benchmark's graph_ingest run, the process is pinned to ``--cpus``
-CPUs (0: no pinning) with two Ray slots and one Arrow/NumPy thread. Graphs
-are written under a temporary directory that is removed at exit.
+Like the benchmark's graph_ingest run, the process is pinned to one CPU
+with two Ray slots and one Arrow/NumPy thread. Graphs are written under a
+temporary directory that is removed at exit.
 """
 
 from __future__ import annotations
@@ -85,13 +85,11 @@ def main() -> int:
     ap.add_argument("seed", type=int)
     ap.add_argument("n", type=int, help="add_episode + search pairs per loop")
     ap.add_argument("--repeats", type=int, default=1, help="loops, each over a fresh graph")
-    ap.add_argument("--cpus", type=int, default=1, help="CPUs to pin the process to (0: no pinning)")
     args = ap.parse_args()
 
     os.environ["OMP_NUM_THREADS"] = "1"
     os.environ["RAY_USAGE_STATS_ENABLED"] = "0"
-    if args.cpus:
-        os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[: args.cpus])
+    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
     from _bootstrap import init_ray
 

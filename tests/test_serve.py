@@ -598,11 +598,11 @@ def test_url_index_follows_every_write(ray_session, tmp_path_factory):
 
 
 def test_missing_or_stale_url_index_takes_full_route(ray_session, tmp_path_factory):
-    """A deleted, stale or truncated url index, and a graph written before
-    url indexes and url-hash sidecars existed, send the next write to the
-    full route (``no url index``) instead of raising; that full link
-    writes the index (and the missing sidecars) again, and its tables
-    equal a fresh full link."""
+    """A deleted, stale, truncated or zero-byte url index (or sidecar), and
+    a graph written before url indexes and url-hash sidecars existed, send
+    the next write to the full route (``no url index``) instead of raising;
+    that full link writes the index (and the missing sidecars) again, and
+    its tables equal a fresh full link."""
     import os
     import shutil
 
@@ -627,12 +627,18 @@ def test_missing_or_stale_url_index_takes_full_route(ray_session, tmp_path_facto
         base = os.path.join(idx, kg.URL_INDEX_PARTS[0])
         np.save(base, np.load(base)[:-1])
 
+    def emptied():
+        # np.load raises EOFError on a zero-byte .npy
+        first = sorted(os.listdir(os.path.join(out, "episodes")))[0]
+        for p in (os.path.join(idx, kg.URL_INDEX_PARTS[1]), os.path.join(out, "episodes", first, gio.URL_HASHES)):
+            open(p, "wb").close()
+
     def legacy():
         shutil.rmtree(idx)
         for d in os.listdir(os.path.join(out, "episodes")):
             os.remove(os.path.join(out, "episodes", d, gio.URL_HASHES))
 
-    breaks = [lambda: shutil.rmtree(idx), stale, truncated, legacy]
+    breaks = [lambda: shutil.rmtree(idx), stale, truncated, emptied, legacy]
     for i, spoil in enumerate(breaks):
         spoil()
         svc.add_episode("g", f"b{i}", f"{NAMES[i]} Smith moved to {NAMES[i]}ville.")
@@ -644,6 +650,37 @@ def test_missing_or_stale_url_index_takes_full_route(ray_session, tmp_path_facto
     )
     svc.add_episode("g", "e3", "Alan Turing works at Bletchley Park.")
     assert _link_route(out)[:2] == ("delta", "")
+
+
+def test_removal_drops_url_index_before_rewriting(ray_session, tmp_path_factory, monkeypatch):
+    """delete_episode and delete_group drop the url index before they
+    rewrite any log, so a removal cut short leaves no index that still
+    counts the removed episodes: the next write takes the full route."""
+    import os
+
+    import graphiti_hf_ray.pipelines.kg as kg
+    import graphiti_hf_ray.pipelines.maintenance as maintenance
+    from graphiti_hf_ray import io as gio
+    from graphiti_hf_ray.serve import GraphService
+
+    def crash(*a, **k):
+        raise RuntimeError("crash before the first rewrite")
+
+    out = str(tmp_path_factory.mktemp("svc_rm_crash"))
+    svc = GraphService(out)
+    u = svc.add_episode("g1", "e1", "Ada Lovelace works at Acme Corporation.")["uuid"]
+    svc.add_episode("g2", "e2", "Grace Hopper moved to Oslo.")
+    idx = os.path.join(out, kg.URL_INDEX)
+    for i, remove in enumerate((lambda: svc.delete_episode(u), lambda: svc.delete_group("g1"))):
+        assert gio.read_manifest(idx) is not None
+        with monkeypatch.context() as m:
+            m.setattr(maintenance, "_filter_table_dir", crash)
+            with pytest.raises(RuntimeError):
+                remove()
+        assert gio.read_manifest(idx) is None
+        svc.add_episode("g2", f"after{i}", f"{NAMES[i]} Smith moved to {NAMES[i]}ville.")
+        assert _link_route(out)[:2] == ("full", "no url index")
+        _assert_url_index_and_report(out)
 
 
 def test_delta_write_reads_no_linked_episodes(ray_session, tmp_path_factory, monkeypatch):
